@@ -17,8 +17,6 @@
 
 #include <algorithm>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "mem/hbm_subsystem.hh"
 #include "soc/package.hh"
@@ -150,7 +148,7 @@ lineageCase(const std::string &name, const ProductConfig &cfg,
              "GB/s");
 }
 
-void
+bool
 report(const bench::SweepArgs &args)
 {
     bench::printHeader("ablation",
@@ -212,39 +210,20 @@ report(const bench::SweepArgs &args)
     if (!(bw_mi300a > 3 * bw_v4 && bw_mi300a > 3 * bw_v3))
         pass = false;
 
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "ablation", pass,
         "the Infinity Cache amplifies reuse bandwidth; the 4 KB "
         "stack interleave balances channels for sequential and "
         "strided streams; cross-package GPU bandwidth improves "
-        "dramatically across EHPv3 -> EHPv4 -> MI300A");
+        "dramatically across EHPv3 -> EHPv4 -> MI300A") &&
+           bench::allOk(outcomes);
 }
-
-void
-BM_ReuseStream(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    Package pkg(&root, "bm", mi300aConfig());
-    Tick t = 0;
-    Addr a = 0;
-    for (auto _ : state) {
-        t = pkg.memAccessFrom(pkg.xcdNode(0), t, a % (1u << 20), 256,
-                              false)
-                .complete;
-        a += 256;
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_ReuseStream);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    const auto args = bench::parseArgs(argc, argv, bench::Flags::sweep);
+    return report(args) ? 0 : 1;
 }

@@ -20,8 +20,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "comm/comm_group.hh"
 #include "fault/fault_injector.hh"
@@ -177,7 +175,7 @@ hbmBlackoutCase(unsigned dark, bench::RowSink &sink)
              hbm.liveChannels(), "channels");
 }
 
-void
+bool
 report(const bench::SweepArgs &args)
 {
     bench::printHeader("ablation_resilience",
@@ -259,48 +257,21 @@ report(const bench::SweepArgs &args)
     const bool hbm_ok =
         hbm0 > 0 && std::abs(hbm16 / hbm0 - 112.0 / 128.0) < 1e-9;
 
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "ablation_resilience",
         rate_ok && kill_ok && harvest_ok && hbm_ok,
         "retried chunks cost bandwidth but never correctness; a "
         "killed x16 reroutes and the all-reduce completes degraded; "
         "peak flops scale 28/40 under harvest and peak HBM bandwidth "
-        "112/128 with 16 channels dark");
+        "112/128 with 16 channels dark") &&
+           bench::allOk(outcomes);
 }
-
-void
-BM_FaultedAllReduce(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    auto quad = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    CommGroup group(quad.get(), "comm", quad->network(),
-                    quad->deviceRanks(), &eq, params);
-    fault::FaultPlan plan;
-    plan.seed = kSeed;
-    plan.chunk_error_rate = 0.01;
-    fault::FaultInjector inj(quad.get(), "inj", plan, &eq);
-    inj.attachCommGroup(&group);
-    inj.arm();
-    for (auto _ : state) {
-        auto op = group.allReduce(eq.curTick(), 4 * MiB,
-                                  Algorithm::ring);
-        group.waitAll();
-        benchmark::DoNotOptimize(op->finishTick());
-    }
-}
-BENCHMARK(BM_FaultedAllReduce);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    const auto args = bench::parseArgs(argc, argv, bench::Flags::sweep);
+    return report(args) ? 0 : 1;
 }

@@ -7,20 +7,24 @@
  * followed by a
  *   [paper_shape_check] <figure>: PASS/FAIL - <explanation>
  * line stating whether the qualitative shape of the paper's result
- * holds, and then runs its google-benchmark microbenchmarks.
+ * holds. The verdict is the exit status: a FAIL, or a sweep case that
+ * threw, exits 1, so every bench doubles as a ctest gate.
  *
  * Sweep-shaped benches additionally split their configurations into
  * independent SweepCase jobs and run them through sweep::SweepRunner
  * (see runCases()). Such benches accept
- *   --jobs N       worker-pool size (default 1)
+ *   --jobs N       worker-pool size, a positive integer (default 1)
  *   --json FILE    write the ehpsim-sweep-v1 JSON document to FILE
- * before the google-benchmark flags; rows print in case order, so
- * text and JSON output are byte-identical for any --jobs value.
+ * and the other benches take no flags (see parseArgs()); rows print
+ * in case order, so text and JSON output are byte-identical for any
+ * --jobs value.
  */
 
 #ifndef EHPSIM_BENCH_BENCH_UTIL_HH
 #define EHPSIM_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -50,12 +54,14 @@ printRow(const std::string &figure, const std::string &series,
                 series.c_str(), x.c_str(), value, unit.c_str());
 }
 
-inline void
+/** Print the verdict line; @return @p pass, for main()'s status. */
+inline bool
 shapeCheck(const std::string &figure, bool pass,
            const std::string &explanation)
 {
     std::printf("[paper_shape_check] %s: %s - %s\n", figure.c_str(),
                 pass ? "PASS" : "FAIL", explanation.c_str());
+    return pass;
 }
 
 // ---------------------------------------------------------------------
@@ -112,32 +118,53 @@ struct SweepArgs
     std::string json_path;
 };
 
+/** Which flags a bench's main() accepts. */
+enum class Flags
+{
+    none,   ///< plain benches: no flags at all
+    sweep,  ///< sweep-shaped benches: --jobs N, --json FILE
+};
+
 /**
- * Strip --jobs/--json from argv (so google-benchmark never sees
- * them) and return them. Leaves all other arguments in place.
+ * Parse a bench's command line. Anything @p flags does not allow, a
+ * missing value, or a --jobs value that is not a positive integer
+ * prints a usage line and exits 2.
  */
 inline SweepArgs
-parseSweepArgs(int &argc, char **argv)
+parseArgs(int argc, char **argv, Flags flags)
 {
     SweepArgs args;
-    int out = 1;
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if ((arg == "--jobs" || arg == "--json") && i + 1 < argc) {
-            const std::string val = argv[++i];
-            if (arg == "--jobs")
-                args.jobs = static_cast<unsigned>(
-                    std::strtoul(val.c_str(), nullptr, 10));
-            else
-                args.json_path = val;
-        } else {
-            argv[out++] = argv[i];
+        std::string arg = argv[i];
+        const bool takes_value = flags == Flags::sweep && i + 1 < argc;
+        if (takes_value && arg == "--json") {
+            args.json_path = argv[++i];
+            continue;
         }
+        if (takes_value && arg == "--jobs") {
+            const std::string val = argv[++i];
+            const char *end = val.data() + val.size();
+            const auto [ptr, ec] =
+                std::from_chars(val.data(), end, args.jobs);
+            if (ec == std::errc() && ptr == end && args.jobs > 0)
+                continue;
+            arg += " " + val;
+        }
+        std::fprintf(stderr, "%s: bad argument '%s'\nusage: %s%s\n",
+                     argv[0], arg.c_str(), argv[0],
+                     flags == Flags::sweep ? " [--jobs N] [--json FILE]"
+                                           : " (takes no flags)");
+        std::exit(2);
     }
-    argc = out;
-    if (args.jobs == 0)
-        args.jobs = 1;
     return args;
+}
+
+/** @return true when every case ran to completion. */
+inline bool
+allOk(const std::vector<CaseOutcome> &outcomes)
+{
+    return std::all_of(outcomes.begin(), outcomes.end(),
+                       [](const CaseOutcome &o) { return o.ok; });
 }
 
 /**

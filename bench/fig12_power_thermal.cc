@@ -8,8 +8,6 @@
  * power-delivery ratings (1.5 A/mm^2 TSV grid + 0.5 A/mm^2 bumps).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/apu_system.hh"
 #include "geom/power_delivery.hh"
@@ -31,7 +29,7 @@ struct Scenario
     PowerDistribution dist;
 };
 
-void
+bool
 report()
 {
     bench::printHeader("fig12",
@@ -172,7 +170,7 @@ report()
         xcd_temp[0] > usr_temp[0] &&            // compute: XCD >> USR
         usr_temp[1] > xcd_temp[1] &&            // memory: USR stands out
         tsv.ok && ubump.ok;
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig12", pass,
         "governor shifts power between compute chiplets and the "
         "memory/fabric system; hotspots sit on the XCDs in the "
@@ -181,34 +179,11 @@ report()
     delete model;
 }
 
-void
-BM_ThermalSolve(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    const auto plan =
-        soc::buildPackageFloorplan(soc::mi300aConfig());
-    PowerModel *model = PowerModel::makeMi300a(&root);
-    PowerGovernor gov(&root, "gov", model);
-    const auto alloc =
-        gov.allocateForDistribution(computeIntensiveDistribution());
-    const auto watts =
-        soc::regionPowerVector(plan, alloc.perDomain(*model));
-    ThermalGrid grid(&root, "thermal", &plan);
-    for (auto _ : state) {
-        unsigned iters = grid.solve(watts);
-        benchmark::DoNotOptimize(iters);
-    }
-    delete model;
-}
-BENCHMARK(BM_ThermalSolve);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    bench::parseArgs(argc, argv, bench::Flags::none);
+    return report() ? 0 : 1;
 }

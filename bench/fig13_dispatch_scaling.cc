@@ -11,8 +11,6 @@
  * parallelizes with --jobs N and exports JSON with --json FILE.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/apu_system.hh"
 #include "workloads/generators.hh"
@@ -78,7 +76,7 @@ policyCase(hsa::DistributionPolicy policy, const std::string &label,
     sink.row("policy_stream", label, rep.total_s * 1e6, "us");
 }
 
-void
+bool
 report(const bench::SweepArgs &args)
 {
     bench::printHeader(
@@ -112,36 +110,19 @@ report(const bench::SweepArgs &args)
     if (!(t6 < t1 / 3.0))
         pass = false;   // must scale well past 3x
 
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig13", pass,
         "one AQL packet spreads across the partition's ACEs; "
         "completion needs n-1 high-priority sync messages and the "
-        "kernel scales with cooperating XCDs");
+        "kernel scales with cooperating XCDs") &&
+           bench::allOk(outcomes);
 }
-
-void
-BM_Dispatch(benchmark::State &state)
-{
-    ApuSystem sys(soc::mi300aConfig());
-    auto *part = sys.package().unifiedPartition();
-    Tick t = 0;
-    for (auto _ : state) {
-        auto pkt = makeKernel(24);
-        const auto res = part->dispatch(t, pkt);
-        t = res.complete;
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_Dispatch);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    const auto args = bench::parseArgs(argc, argv, bench::Flags::sweep);
+    return report(args) ? 0 : 1;
 }

@@ -10,8 +10,6 @@
  * (--jobs N, --json FILE).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/machine_model.hh"
 #include "core/roofline.hh"
@@ -80,7 +78,7 @@ sizeCase(std::uint64_t mb, bench::RowSink &sink)
     sink.row("apu_copy_time", x, ra.transferSeconds() * 1e3, "ms");
 }
 
-void
+bool
 report(const bench::SweepArgs &args)
 {
     bench::printHeader(
@@ -121,33 +119,19 @@ report(const bench::SweepArgs &args)
         pass = false;
     }
 
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig14", pass,
         "unified memory removes the hipMemcpy traffic entirely; the "
         "discrete node pays a growing copy tax over its host link "
-        "(tens of GB/s) while the APU touches HBM directly");
+        "(tens of GB/s) while the APU touches HBM directly") &&
+           bench::allOk(outcomes);
 }
-
-void
-BM_RooflineRun(benchmark::State &state)
-{
-    const RooflineEngine apu(mi300aModel());
-    const auto w = initKernelPost(256u << 20);
-    for (auto _ : state) {
-        auto rep = apu.run(w);
-        benchmark::DoNotOptimize(rep.total_s);
-    }
-}
-BENCHMARK(BM_RooflineRun);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    const auto args = bench::parseArgs(argc, argv, bench::Flags::sweep);
+    return report(args) ? 0 : 1;
 }

@@ -8,8 +8,6 @@
  * spin-waits on coherent flags).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/apu_system.hh"
 #include "core/machine_model.hh"
@@ -49,7 +47,7 @@ producerConsumer(std::uint64_t elems)
     return w;
 }
 
-void
+bool
 report()
 {
     bench::printHeader("fig15",
@@ -112,43 +110,18 @@ report()
             pass = false;
     }
 
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig15", pass,
         "overlapping CPU consumption with GPU production (coherent "
         "completion flags) beats kernel-level synchronization in "
         "both engines");
 }
 
-void
-BM_SpinWait(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    class Flat : public mem::MemDevice
-    {
-      public:
-        explicit Flat(SimObject *p) : mem::MemDevice(p, "m") {}
-        mem::AccessResult
-        access(Tick when, Addr, std::uint64_t, bool) override
-        {
-            return {when + 1000, true, 0};
-        }
-    } memory(&root);
-    cpu::ZenCore core(&root, "core", cpu::zen4CoreParams(), &memory);
-    Tick t = 0;
-    for (auto _ : state) {
-        t = core.spinWait(t, t + 100'000, 10'000, 50'000);
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_SpinWait);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    bench::parseArgs(argc, argv, bench::Flags::none);
+    return report() ? 0 : 1;
 }

@@ -11,8 +11,6 @@
  * SweepCases (--jobs N, --json FILE).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/apu_system.hh"
 #include "workloads/generators.hh"
@@ -130,7 +128,7 @@ nps4Case(bench::RowSink &sink)
     sink.row("nps4_confinement", "ok", confined ? 1 : 0, "bool");
 }
 
-void
+bool
 report(const bench::SweepArgs &args)
 {
     bench::printHeader("fig17", "partitioning modes");
@@ -161,40 +159,20 @@ report(const bench::SweepArgs &args)
     if (spatial8 > 2.5 * single8)
         pass = false;
 
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig17", pass,
         "MI300A supports 1/3 partitions, MI300X 1/2/4/8 with NPS1/4; "
         "spatially isolated tenants run concurrently (8 tenants "
         "cost << 4x of 2), and NPS4 keeps domains on their stack "
-        "quadrants");
+        "quadrants") &&
+           bench::allOk(outcomes);
 }
-
-void
-BM_PartitionDispatch(benchmark::State &state)
-{
-    ApuSystem sys(soc::mi300xConfig());
-    auto parts = sys.package().partitionInto(8);
-    Tick t = 0;
-    hsa::AqlPacket pkt;
-    pkt.grid_workgroups = 38;
-    pkt.work.flops = 256 * 1000;
-    pkt.work.dtype = gpu::DataType::fp32;
-    for (auto _ : state) {
-        const auto res = parts[0]->dispatch(t, pkt);
-        t = res.complete;
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_PartitionDispatch);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    const auto args = bench::parseArgs(argc, argv, bench::Flags::sweep);
+    return report(args) ? 0 : 1;
 }

@@ -18,8 +18,6 @@
 
 #include <cmath>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "comm/comm_group.hh"
 #include "soc/node_topology.hh"
@@ -126,7 +124,7 @@ collectiveCase(bool quad_node, Collective coll, Algorithm algo,
              "fraction");
 }
 
-void
+bool
 report(const bench::SweepArgs &args)
 {
     bench::printHeader("fig18", "MI300 node topologies");
@@ -184,35 +182,20 @@ report(const bench::SweepArgs &args)
         bench::findRow(outcomes, "quad_ok", "shape") == 1 &&
         bench::findRow(outcomes, "octo_ok", "shape") == 1 && coll_ok;
 
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig18", pass,
         "quad-APU node: 2x16 IF per pair (128 GB/s), 2 links spare "
         "per socket; octo-MI300X node: fully connected at 64 GB/s "
         "with the last link as PCIe to the host; all-reduce tracks "
-        "the ring bound and direct wins on the dedicated links");
+        "the ring bound and direct wins on the dedicated links") &&
+           bench::allOk(outcomes);
 }
-
-void
-BM_AllToAll(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    auto quad = NodeTopology::mi300aQuadNode(&root);
-    Tick t = 0;
-    for (auto _ : state) {
-        t = quad->allToAll(t, 1u << 20);
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_AllToAll);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    const auto args = bench::parseArgs(argc, argv, bench::Flags::sweep);
+    return report(args) ? 0 : 1;
 }

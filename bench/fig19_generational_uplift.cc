@@ -6,8 +6,6 @@
  * I/O bandwidth (2x).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "soc/package.hh"
 
@@ -17,7 +15,7 @@ using namespace ehpsim::soc;
 namespace
 {
 
-void
+bool
 report()
 {
     bench::printHeader("fig19",
@@ -94,30 +92,17 @@ report()
            std::abs(cap_uplift_x - 1.5) < 0.05 &&
            std::abs(io_uplift - 2.0) < 0.1 &&
            m300x.totalCus() == 304 && m300a.totalCus() == 228;
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig19", pass,
         "compute rates rise across the board, memory bandwidth "
         "+70%, MI300X capacity +50%, I/O bandwidth 2x, 228/304 CUs");
 }
-
-void
-BM_BuildPackage(benchmark::State &state)
-{
-    for (auto _ : state) {
-        SimObject root(nullptr, "root");
-        Package pkg(&root, "p", mi300aConfig());
-        benchmark::DoNotOptimize(pkg.totalCus());
-    }
-}
-BENCHMARK(BM_BuildPackage);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    bench::parseArgs(argc, argv, bench::Flags::none);
+    return report() ? 0 : 1;
 }

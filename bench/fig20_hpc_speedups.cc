@@ -7,8 +7,6 @@
  * eliminated by unified memory).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/machine_model.hh"
 #include "core/roofline.hh"
@@ -21,7 +19,7 @@ using namespace ehpsim::workloads;
 namespace
 {
 
-void
+bool
 report()
 {
     bench::printHeader(
@@ -68,32 +66,18 @@ report()
         speedups[2] > 1.3 && speedups[2] < 2.1 &&
         speedups[3] > speedups[0] && speedups[3] > speedups[2] &&
         speedups[3] > 2.0 && speedups[3] < 4.0;
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig20", pass,
         "all four workloads speed up; OpenFOAM-like coupled CFD "
         "gains the most (paper: 2.75x) from unified memory; HPCG "
         "tracks the 1.7x bandwidth uplift");
 }
 
-void
-BM_CfdRoofline(benchmark::State &state)
-{
-    const RooflineEngine apu(mi300aModel());
-    const auto w = cfdSolver(1'000'000, 5);
-    for (auto _ : state) {
-        auto rep = apu.run(w);
-        benchmark::DoNotOptimize(rep.total_s);
-    }
-}
-BENCHMARK(BM_CfdRoofline);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    bench::parseArgs(argc, argv, bench::Flags::none);
+    return report() ? 0 : 1;
 }

@@ -21,8 +21,6 @@
  * independent SweepCase (--jobs N, --json FILE).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "comm/comm_group.hh"
 #include "core/machine_model.hh"
@@ -142,7 +140,7 @@ tensorParallelCase(unsigned tp, bench::RowSink &sink)
         sink.row("tp_allreduce_algbw", x, algbw_gbps, "GB/s");
 }
 
-void
+bool
 report(const bench::SweepArgs &args)
 {
     bench::printHeader(
@@ -224,36 +222,21 @@ report(const bench::SweepArgs &args)
                       140e9 < static_cast<double>(
                                   mi300x.mem_capacity) &&
                       tp_ok;
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig21", pass,
         ">2x vs baseline vLLM, ~1.3x vs TensorRT-LLM, and still "
         "ahead in absolute latency when the baseline drops to FP8 "
         "(vLLM has no FP8 path); FP16 weights only fit MI300X; TP "
         "over the octo node speeds inference sublinearly with a "
-        "growing all-reduce share");
+        "growing all-reduce share") &&
+           bench::allOk(outcomes);
 }
-
-void
-BM_LlmRoofline(benchmark::State &state)
-{
-    const RooflineEngine eng(mi300xModel());
-    LlmConfig cfg;
-    const auto w = llmInference(cfg);
-    for (auto _ : state) {
-        auto rep = eng.run(w);
-        benchmark::DoNotOptimize(rep.total_s);
-    }
-}
-BENCHMARK(BM_LlmRoofline);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    const auto args = bench::parseArgs(argc, argv, bench::Flags::sweep);
+    return report(args) ? 0 : 1;
 }

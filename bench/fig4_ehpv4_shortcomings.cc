@@ -12,8 +12,6 @@
 
 #include <algorithm>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "geom/floorplan.hh"
 #include "soc/floorplan_builder.hh"
@@ -58,7 +56,7 @@ gpuRemoteBandwidth(Package &pkg)
     return static_cast<double>(moved) / secondsFromTicks(worst);
 }
 
-void
+bool
 report()
 {
     bench::printHeader("fig4",
@@ -130,35 +128,18 @@ report()
                       m300_bw > 3.0 * ehp_bw &&
                       m300_plan.utilization() >
                           ehp_plan.utilization();
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig4", pass,
         "EHPv4: longer CPU->HBM path, SerDes-limited cross-package "
         "GPU bandwidth, and wasted package area; MI300A fixes all "
         "three with the purpose-built IOD + USR links");
 }
 
-void
-BM_CpuLoad(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    Package ehp(&root, "ehpv4", ehpv4Config());
-    Tick t = 0;
-    for (auto _ : state) {
-        auto r = ehp.memAccessFrom(ehp.ccdNode(0), t, 4096, 64,
-                                   false);
-        t = r.complete;
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_CpuLoad);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    bench::parseArgs(argc, argv, bench::Flags::none);
+    return report() ? 0 : 1;
 }

@@ -6,8 +6,6 @@
  * IODs, and 64 GB/s per direction per x16 link.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "soc/package.hh"
 
@@ -78,7 +76,7 @@ x16Bandwidth(Package &pkg)
     return static_cast<double>(msg) * n / secondsFromTicks(worst);
 }
 
-void
+bool
 report()
 {
     bench::printHeader(
@@ -121,35 +119,18 @@ report()
                       cache_bw > 1.3 * hbm_bw &&
                       usr_bw * 8 > 1e12 &&
                       io_bw > 0.8 * 64e9 && io_bw <= 1.05 * 64e9;
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig7", pass,
         "HBM streams near 5.3 TB/s; cache-resident traffic exceeds "
         "HBM bandwidth (toward 17 TB/s); USR delivers multiple TB/s; "
         "x16 delivers ~64 GB/s per direction");
 }
 
-void
-BM_PackageStream(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    Package pkg(&root, "bm", mi300aConfig());
-    Tick t = 0;
-    Addr a = 0;
-    for (auto _ : state) {
-        auto r = pkg.memAccessFrom(pkg.xcdNode(0), t, a, 256, false);
-        benchmark::DoNotOptimize(r.complete);
-        a += 256;
-    }
-}
-BENCHMARK(BM_PackageStream);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    bench::parseArgs(argc, argv, bench::Flags::none);
+    return report() ? 0 : 1;
 }

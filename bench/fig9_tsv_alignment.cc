@@ -5,8 +5,6 @@
  * instances, and quantifies the redundancy overhead.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "geom/alignment.hh"
 
@@ -38,7 +36,7 @@ makeIod(bool redundant)
     return plan;
 }
 
-void
+bool
 report()
 {
     bench::printHeader("fig9",
@@ -85,32 +83,17 @@ report()
         if (isMirrored(iod_o) && without.aligned)
             pass = false;       // base plan must fail on mirrors
     }
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "fig9", pass,
         "unmirrored chiplets align on all four IOD instances only "
         "with mirror-redundant TSVs (overhead < 2x sites)");
 }
-
-void
-BM_AlignmentCheck(benchmark::State &state)
-{
-    const auto xcd = makeXcd();
-    const auto plan = makeIod(true);
-    for (auto _ : state) {
-        auto res = plan.checkStackAlignment(xcd, Orient::r0, 2.0, 3.0,
-                                            Orient::mirrored);
-        benchmark::DoNotOptimize(res.aligned);
-    }
-}
-BENCHMARK(BM_AlignmentCheck);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    bench::parseArgs(argc, argv, bench::Flags::none);
+    return report() ? 0 : 1;
 }

@@ -23,8 +23,6 @@
  * (--jobs N, --json FILE).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 #include <vector>
 
@@ -121,7 +119,7 @@ faultSweepParams(bool faulted)
     return p;
 }
 
-void
+bool
 report(const bench::SweepArgs &args)
 {
     bench::printHeader(
@@ -209,38 +207,21 @@ report(const bench::SweepArgs &args)
                           fault_retries > 0.0 && fault_dark == 2.0 &&
                           fault_done == 24.0;
 
-    bench::shapeCheck(
+    return bench::shapeCheck(
         "serving", capacity_ok && tp_ok && fault_ok,
         "at a load where 192 GB MI300X meets SLOs with zero KV "
         "evictions, the 80 GB baseline thrashes its KV cache and "
         "misses them (while fine at light load); TP raises "
         "throughput; injected faults stretch tail TTFT with nonzero "
-        "retries and dark channels yet every request completes");
+        "retries and dark channels yet every request completes") &&
+           bench::allOk(outcomes);
 }
-
-void
-BM_ServingScenario(benchmark::State &state)
-{
-    for (auto _ : state) {
-        ScenarioParams p;
-        p.num_requests = 4;
-        p.input_tokens = 128;
-        p.output_tokens = 16;
-        p.load_rps = 4.0;
-        const auto r = runServingScenario(p);
-        benchmark::DoNotOptimize(r.completed);
-    }
-}
-BENCHMARK(BM_ServingScenario);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    const auto args = bench::parseArgs(argc, argv, bench::Flags::sweep);
+    return report(args) ? 0 : 1;
 }

@@ -9,8 +9,6 @@
  * this checks the executable model, not just the table constants.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "gpu/compute_unit.hh"
 
@@ -85,7 +83,7 @@ const Row rows[] = {
      8192},
 };
 
-void
+bool
 report()
 {
     bench::printHeader("table1",
@@ -105,38 +103,17 @@ report()
         if (c3 < r.paper_cdna3 * 0.95 || c3 > r.paper_cdna3 * 1.0001)
             pass = false;
     }
-    bench::shapeCheck("table1", pass,
-                      "measured CU rates match Table 1 within 5%; "
-                      "FP8/TF32 absent on CDNA2; 4:2 sparsity "
-                      "doubles FP8/INT8 to 8192");
+    return bench::shapeCheck("table1", pass,
+                             "measured CU rates match Table 1 within 5%; "
+                             "FP8/TF32 absent on CDNA2; 4:2 sparsity "
+                             "doubles FP8/INT8 to 8192");
 }
-
-void
-BM_MatrixWorkgroup(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    FlatMemory memory(&root);
-    ComputeUnit cu(&root, "cu", cdna3CuParams(), &memory, nullptr);
-    WorkgroupWork work;
-    work.flops = 2048 * 1024;
-    work.dtype = DataType::fp16;
-    work.pipe = Pipe::matrix;
-    work.inst_bytes = 0;
-    Tick t = 0;
-    for (auto _ : state) {
-        t = cu.runWorkgroup(t, work);
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_MatrixWorkgroup);
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    bench::parseArgs(argc, argv, bench::Flags::none);
+    return report() ? 0 : 1;
 }

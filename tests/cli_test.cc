@@ -5,7 +5,10 @@
  * was silently accepted and ignored through PR 9), and the comm
  * checkpoint/fork path must produce byte-identical JSON to the
  * straight-through run while actually sharing the warmup (DESIGN.md
- * §16). The binary comes in via EHPSIM_CLI_BIN.
+ * §16). The figure benches' flag parser is checked the same way: a
+ * flag a bench does not take must exit 2, not be silently ignored.
+ * The binaries come in via EHPSIM_CLI_BIN, EHPSIM_SWEEP_BENCH_BIN
+ * (a sweep-shaped bench) and EHPSIM_PLAIN_BENCH_BIN (a flagless one).
  */
 
 #include <gtest/gtest.h>
@@ -25,14 +28,15 @@ struct CmdResult
     std::string stderr_text;
 };
 
-/** Run the CLI with @p args; capture exit code and stderr. */
+/** Run @p bin with @p args; capture exit code and stderr. */
 CmdResult
-runCli(const std::string &args, const std::string &tag)
+runBin(const std::string &bin, const std::string &args,
+       const std::string &tag)
 {
     const std::string err_path =
         std::string("cli_test_") + tag + ".err";
-    const std::string cmd = std::string(EHPSIM_CLI_BIN) + " " + args +
-                            " > /dev/null 2> " + err_path;
+    const std::string cmd =
+        bin + " " + args + " > /dev/null 2> " + err_path;
     CmdResult res;
     const int rc = std::system(cmd.c_str());
     res.exit_code = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
@@ -42,6 +46,23 @@ runCli(const std::string &args, const std::string &tag)
     res.stderr_text = ss.str();
     std::remove(err_path.c_str());
     return res;
+}
+
+CmdResult
+runCli(const std::string &args, const std::string &tag)
+{
+    return runBin(EHPSIM_CLI_BIN, args, tag);
+}
+
+/** A bench given @p args must print its usage line and exit 2. */
+void
+expectUsageError(const std::string &bin, const std::string &args,
+                 const std::string &tag)
+{
+    const auto res = runBin(bin, args, tag);
+    EXPECT_EQ(res.exit_code, 2) << args;
+    EXPECT_NE(res.stderr_text.find("usage:"), std::string::npos)
+        << res.stderr_text;
 }
 
 std::string
@@ -153,4 +174,42 @@ TEST(CliServe, CheckpointAtIsByteIdentical)
     EXPECT_EQ(slurp("cli_test_s1.json"), slurp("cli_test_s2.json"));
     std::remove("cli_test_s1.json");
     std::remove("cli_test_s2.json");
+}
+
+TEST(BenchFlags, UnknownFlagIsRejected)
+{
+    expectUsageError(EHPSIM_SWEEP_BENCH_BIN, "--frobnicate",
+                     "bench_unknown");
+    expectUsageError(EHPSIM_PLAIN_BENCH_BIN, "--frobnicate",
+                     "plain_unknown");
+}
+
+TEST(BenchFlags, GoogleBenchmarkFlagIsRejected)
+{
+    expectUsageError(EHPSIM_SWEEP_BENCH_BIN, "--benchmark_filter=x",
+                     "bench_gbench");
+}
+
+TEST(BenchFlags, JobsMustBeAPositiveInteger)
+{
+    expectUsageError(EHPSIM_SWEEP_BENCH_BIN, "--jobs 0", "jobs_zero");
+    expectUsageError(EHPSIM_SWEEP_BENCH_BIN, "--jobs banana",
+                     "jobs_banana");
+
+    const auto res = runBin(EHPSIM_SWEEP_BENCH_BIN,
+                            "--jobs 2 --json cli_test_bench.json",
+                            "jobs_ok");
+    EXPECT_EQ(res.exit_code, 0) << res.stderr_text;
+    EXPECT_FALSE(slurp("cli_test_bench.json").empty());
+    std::remove("cli_test_bench.json");
+}
+
+TEST(BenchFlags, TrailingJsonWithoutValueIsRejected)
+{
+    expectUsageError(EHPSIM_SWEEP_BENCH_BIN, "--json", "json_bare");
+}
+
+TEST(BenchFlags, PlainBenchTakesNoSweepFlags)
+{
+    expectUsageError(EHPSIM_PLAIN_BENCH_BIN, "--jobs 2", "plain_jobs");
 }
