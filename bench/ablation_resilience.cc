@@ -55,6 +55,8 @@ class FlatMemory : public mem::MemDevice
 
 constexpr std::uint64_t kBytes = 64 * MiB;
 constexpr std::uint64_t kSeed = 20240624;   // arbitrary, fixed
+/** 1 MiB chunks: fine enough pipelining to see per-chunk retries. */
+constexpr CommParams kFineGrained{.chunk_bytes = 1 * MiB};
 
 /**
  * One all-reduce on the octo node under a transient chunk-error
@@ -64,33 +66,27 @@ void
 faultRateCase(Algorithm algo, double rate, const std::string &label,
               bench::RowSink &sink)
 {
-    SimObject root(nullptr, "root");
-    auto octo = NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    CommParams params;
-    params.chunk_bytes = 1 * MiB;
+    CommParams params = kFineGrained;
     // A timeout-based retransmit can only detect loss after the
     // chunk (and the queue ahead of it) would have drained, so the
     // timer has to cover the per-link backlog: ~130 us here.
     params.retry_timeout = 200'000'000;     // 200 us
-    CommGroup group(octo.get(), "comm", octo->network(),
-                    octo->deviceRanks(), &eq, params);
+    CommWorld w(NodeKind::octo, params);
 
     fault::FaultPlan plan;
     plan.seed = kSeed;
     plan.chunk_error_rate = rate;
-    fault::FaultInjector inj(octo.get(), "inj", plan, &eq);
-    inj.attachCommGroup(&group);
+    fault::FaultInjector inj(w.topo.get(), "inj", plan, &w.eq);
+    inj.attachCommGroup(&w.group);
     inj.arm();
 
-    auto op = group.allReduce(0, kBytes, algo);
-    group.waitAll();
+    const OpHandle op = w.run(Collective::allReduce, kBytes, algo);
 
     const std::string series =
         std::string("allreduce_octo_") + algorithmName(algo);
     sink.row(series, label, op->algoBandwidth() / 1e9, "GB/s");
-    sink.row(series + "_retries", label, group.chunk_retries.value(),
-             "chunks");
+    sink.row(series + "_retries", label,
+             w.group.chunk_retries.value(), "chunks");
 }
 
 /**
@@ -101,47 +97,29 @@ faultRateCase(Algorithm algo, double rate, const std::string &label,
 void
 linkKillCase(bench::RowSink &sink)
 {
-    double base_bw = 0;
-    Tick base_finish = 0;
-    {
-        SimObject root(nullptr, "root");
-        auto octo = NodeTopology::mi300xOctoNode(&root);
-        EventQueue eq;
-        CommParams params;
-        params.chunk_bytes = 1 * MiB;
-        CommGroup group(octo.get(), "comm", octo->network(),
-                        octo->deviceRanks(), &eq, params);
-        auto op = group.allReduce(0, kBytes, Algorithm::direct);
-        group.waitAll();
-        base_bw = op->algoBandwidth();
-        base_finish = op->finishTick();
-    }
+    const OpHandle base = CommWorld(NodeKind::octo, kFineGrained)
+                              .run(Collective::allReduce, kBytes,
+                                   Algorithm::direct);
+    const double base_bw = base->algoBandwidth();
 
-    SimObject root(nullptr, "root");
-    auto octo = NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    CommGroup group(octo.get(), "comm", octo->network(),
-                    octo->deviceRanks(), &eq, params);
-
+    CommWorld w(NodeKind::octo, kFineGrained);
     fault::FaultPlan plan;
     plan.seed = kSeed;
     plan.link_faults.push_back(
-        {"mi300x0", "mi300x1", base_finish / 4, 0.0});
-    fault::FaultInjector inj(octo.get(), "inj", plan, &eq);
-    inj.attachNetwork(octo->network());
-    inj.attachCommGroup(&group);
+        {"mi300x0", "mi300x1", base->finishTick() / 4, 0.0});
+    fault::FaultInjector inj(w.topo.get(), "inj", plan, &w.eq);
+    inj.attachNetwork(w.topo->network());
+    inj.attachCommGroup(&w.group);
     inj.arm();
 
-    auto op = group.allReduce(0, kBytes, Algorithm::direct);
-    group.waitAll();
+    const OpHandle op = w.run(Collective::allReduce, kBytes,
+                              Algorithm::direct);
 
     sink.row("link_kill", "healthy", base_bw / 1e9, "GB/s");
     sink.row("link_kill", "one_x16_down", op->algoBandwidth() / 1e9,
              "GB/s");
     sink.row("link_kill_reroutes", "one_x16_down",
-             octo->network()->reroutes.value(), "recomputes");
+             w.topo->network()->reroutes.value(), "recomputes");
     sink.row("link_kill_completed", "one_x16_down",
              op->done() ? 1 : 0, "bool");
 }

@@ -69,15 +69,16 @@ octoCase(bench::RowSink &sink)
     sink.row("octo_ok", "shape", ok ? 1 : 0, "bool");
 }
 
-/** All-to-all exchange time on one topology at one message size. */
+/** All-to-all exchange time on one topology at one message size:
+ *  the direct algorithm with the communicator's default chunking. */
 void
 allToAllCase(bool quad_node, std::uint64_t bytes,
              const std::string &label, bench::RowSink &sink)
 {
-    SimObject root(nullptr, "root");
-    auto topo = quad_node ? NodeTopology::mi300aQuadNode(&root)
-                          : NodeTopology::mi300xOctoNode(&root);
-    const Tick a2a = topo->allToAll(0, bytes);
+    CommWorld w(quad_node ? NodeKind::quad : NodeKind::octo);
+    const Tick a2a =
+        w.run(Collective::allToAll, bytes, Algorithm::direct)
+            ->finishTick();
     sink.row(quad_node ? "all_to_all_quad" : "all_to_all_octo", label,
              secondsFromTicks(a2a) * 1e3, "ms");
 }
@@ -90,37 +91,16 @@ void
 collectiveCase(bool quad_node, Collective coll, Algorithm algo,
                std::uint64_t bytes, bench::RowSink &sink)
 {
-    SimObject root(nullptr, "root");
-    auto topo = quad_node ? NodeTopology::mi300aQuadNode(&root)
-                          : NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
     CommParams params;
     params.chunk_bytes = 1 * MiB;
-    CommGroup group(topo.get(), "comm", topo->network(),
-                    topo->deviceRanks(), &eq, params);
-
-    OpHandle op;
-    switch (coll) {
-      case Collective::allReduce:
-        op = group.allReduce(0, bytes, algo);
-        break;
-      case Collective::allGather:
-        op = group.allGather(0, bytes, algo);
-        break;
-      case Collective::broadcast:
-        op = group.broadcast(0, 0, bytes, algo);
-        break;
-      default:
-        op = group.allToAll(0, bytes, algo);
-        break;
-    }
-    group.waitAll();
+    CommWorld w(quad_node ? NodeKind::quad : NodeKind::octo, params);
+    const OpHandle op = w.run(coll, bytes, algo);
 
     const std::string series = std::string(collectiveName(coll)) +
                                (quad_node ? "_quad" : "_octo");
     const std::string x = algorithmName(op->algorithm());
     sink.row(series, x, op->algoBandwidth() / 1e9, "GB/s");
-    sink.row(series + "_busy", x, group.maxLinkUtilization(),
+    sink.row(series + "_busy", x, w.group.maxLinkUtilization(),
              "fraction");
 }
 

@@ -41,8 +41,8 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -97,6 +97,28 @@ sizesFor(bool quick)
     if (quick)
         return {2'000, 20, 64, 1'000, 16 * MiB, 1, 16 * MiB};
     return {20'000, 100, 256, 5'000, 64 * MiB, 4, 64 * MiB};
+}
+
+/** The comm benches' communicator: 1 MiB pipelining chunks. */
+constexpr comm::CommParams kCommParams{.chunk_bytes = 1 * MiB};
+
+/**
+ * @p iters rounds of one ring then one direct all-reduce of
+ * @p bytes on @p w. @return the bytes x hops they placed on links.
+ */
+std::uint64_t
+ringThenDirect(soc::CommWorld &w, unsigned iters, std::uint64_t bytes)
+{
+    std::uint64_t lb = 0;
+    for (unsigned it = 0; it < iters; ++it) {
+        lb += w.run(comm::Collective::allReduce, bytes,
+                    comm::Algorithm::ring)
+                  ->linkBytes();
+        lb += w.run(comm::Collective::allReduce, bytes,
+                    comm::Algorithm::direct)
+                  ->linkBytes();
+    }
+    return lb;
 }
 
 class CountingEvent : public Event
@@ -278,29 +300,13 @@ benchCommAllReduce(const Sizes &sz, unsigned repeat)
     std::uint64_t processed = 0, final_tick = 0, link_bytes = 0;
     std::uint64_t peak_live = 0, heap_capacity = 0;
     for (unsigned rep = 0; rep < repeat; ++rep) {
-        SimObject root(nullptr, "root");
-        auto octo = soc::NodeTopology::mi300xOctoNode(&root);
-        EventQueue eq;
-        comm::CommParams params;
-        params.chunk_bytes = 1 * MiB;
-        comm::CommGroup group(octo.get(), "comm", octo->network(),
-                              octo->deviceRanks(), &eq, params);
+        soc::CommWorld w(soc::NodeKind::octo, kCommParams);
         WallTimer wt;
-        std::uint64_t lb = 0;
-        for (unsigned it = 0; it < sz.comm_iters; ++it) {
-            auto ring = group.allReduce(eq.curTick(), sz.comm_bytes,
-                                        comm::Algorithm::ring);
-            group.waitAll();
-            auto direct = group.allReduce(eq.curTick(), sz.comm_bytes,
-                                          comm::Algorithm::direct);
-            group.waitAll();
-            lb += ring->linkBytes() + direct->linkBytes();
-        }
-        processed = eq.numProcessed();
-        final_tick = eq.curTick();
-        link_bytes = lb;
-        peak_live = eq.peakLive();
-        heap_capacity = eq.capacity();
+        link_bytes = ringThenDirect(w, sz.comm_iters, sz.comm_bytes);
+        processed = w.eq.numProcessed();
+        final_tick = w.eq.curTick();
+        peak_live = w.eq.peakLive();
+        heap_capacity = w.eq.capacity();
         const double s = wt.seconds();
         if (best < 0 || s < best)
             best = s;
@@ -335,29 +341,12 @@ benchCommAllReducePdes(const Sizes &sz, unsigned repeat)
     std::uint64_t peak_live = 0, windows = 0, lookahead = 0;
     std::uint64_t partitions = 0;
     for (unsigned rep = 0; rep < repeat; ++rep) {
-        SimObject root(nullptr, "root");
-        auto octo = soc::NodeTopology::mi300xOctoNode(&root);
-        EventQueue eq;
-        comm::CommParams params;
-        params.chunk_bytes = 1 * MiB;
-        comm::CommGroup group(octo.get(), "comm", octo->network(),
-                              octo->deviceRanks(), &eq, params);
-        pdes::PdesEngine engine(&eq, octo->network(), 8);
-        group.attachPdes(&engine);
+        soc::CommWorld w(soc::NodeKind::octo, kCommParams, 8);
         WallTimer wt;
-        std::uint64_t lb = 0;
-        for (unsigned it = 0; it < sz.comm_iters; ++it) {
-            auto ring = group.allReduce(eq.curTick(), sz.comm_bytes,
-                                        comm::Algorithm::ring);
-            group.waitAll();
-            auto direct = group.allReduce(eq.curTick(), sz.comm_bytes,
-                                          comm::Algorithm::direct);
-            group.waitAll();
-            lb += ring->linkBytes() + direct->linkBytes();
-        }
+        link_bytes = ringThenDirect(w, sz.comm_iters, sz.comm_bytes);
+        const pdes::PdesEngine &engine = *w.pdes();
         processed = engine.totalProcessed();
-        final_tick = eq.curTick();
-        link_bytes = lb;
+        final_tick = w.eq.curTick();
         peak_live = engine.peakLiveTotal();
         windows = engine.windows();
         lookahead = engine.lookahead();
@@ -392,15 +381,10 @@ benchFaultStorm(const Sizes &sz, unsigned repeat)
     std::uint64_t processed = 0, final_tick = 0, retries = 0;
     std::uint64_t faults = 0, peak_live = 0;
     for (unsigned rep = 0; rep < repeat; ++rep) {
-        SimObject root(nullptr, "root");
-        auto octo = soc::NodeTopology::mi300xOctoNode(&root);
-        EventQueue eq;
-        comm::CommParams params;
-        params.chunk_bytes = 1 * MiB;
+        comm::CommParams params = kCommParams;
         params.retry_timeout = 200'000'000;     // 200 us
         params.max_retries = 16;
-        comm::CommGroup group(octo.get(), "comm", octo->network(),
-                              octo->deviceRanks(), &eq, params);
+        soc::CommWorld w(soc::NodeKind::octo, params);
         fault::FaultPlan plan;
         plan.seed = 20240624;
         plan.chunk_error_rate = 0.05;
@@ -408,21 +392,21 @@ benchFaultStorm(const Sizes &sz, unsigned repeat)
             {"mi300x0", "mi300x1", 5'000'000, 0.5});
         plan.link_faults.push_back(
             {"mi300x2", "mi300x3", 9'000'000, 0.5});
-        fault::FaultInjector inj(octo.get(), "inj", plan, &eq);
-        inj.attachNetwork(octo->network());
-        inj.attachCommGroup(&group);
+        fault::FaultInjector inj(w.topo.get(), "inj", plan, &w.eq);
+        inj.attachNetwork(w.topo->network());
+        inj.attachCommGroup(&w.group);
         inj.arm();
         WallTimer wt;
-        group.allReduce(0, sz.fault_bytes, comm::Algorithm::ring);
-        group.waitAll();
-        eq.run();       // drain any faults scheduled past completion
-        processed = eq.numProcessed();
-        final_tick = eq.curTick();
+        w.run(comm::Collective::allReduce, sz.fault_bytes,
+              comm::Algorithm::ring);
+        w.eq.run();     // drain any faults scheduled past completion
+        processed = w.eq.numProcessed();
+        final_tick = w.eq.curTick();
         retries = static_cast<std::uint64_t>(
-            group.chunk_retries.value());
+            w.group.chunk_retries.value());
         faults = static_cast<std::uint64_t>(
             inj.faults_injected.value());
-        peak_live = eq.peakLive();
+        peak_live = w.eq.peakLive();
         const double s = wt.seconds();
         if (best < 0 || s < best)
             best = s;
@@ -463,40 +447,24 @@ benchCheckpointFork(const Sizes &sz, unsigned repeat)
         WallTimer wt;
         std::string blob;
         {
-            SimObject root(nullptr, "root");
-            auto octo = soc::NodeTopology::mi300xOctoNode(&root);
-            EventQueue eq;
-            comm::CommParams params;
-            params.chunk_bytes = 1 * MiB;
-            comm::CommGroup group(octo.get(), "comm",
-                                  octo->network(),
-                                  octo->deviceRanks(), &eq, params);
+            soc::CommWorld w(soc::NodeKind::octo, kCommParams);
             for (unsigned it = 0; it < sz.comm_iters; ++it) {
-                group.allReduce(eq.curTick(), sz.comm_bytes,
-                                comm::Algorithm::ring);
-                group.waitAll();
+                w.run(comm::Collective::allReduce, sz.comm_bytes,
+                      comm::Algorithm::ring);
             }
-            warm_events = eq.numProcessed();
-            blob = saveWorld(eq, root);
+            warm_events = w.eq.numProcessed();
+            blob = saveWorld(w.eq, w.root);
             snapshot_bytes = blob.size();
         }
         std::uint64_t total = 0, lb = 0;
         for (std::uint64_t pt = 0; pt < kPoints; ++pt) {
-            SimObject root(nullptr, "root");
-            auto octo = soc::NodeTopology::mi300xOctoNode(&root);
-            EventQueue eq;
-            comm::CommParams params;
-            params.chunk_bytes = 1 * MiB;
-            comm::CommGroup group(octo.get(), "comm",
-                                  octo->network(),
-                                  octo->deviceRanks(), &eq, params);
-            restoreWorld(blob, eq, root);
-            auto op = group.allReduce(eq.curTick(), sz.comm_bytes,
-                                      comm::Algorithm::direct);
-            group.waitAll();
-            total += eq.numProcessed() - warm_events;
-            lb += op->linkBytes();
-            final_tick = eq.curTick();
+            soc::CommWorld w(soc::NodeKind::octo, kCommParams);
+            restoreWorld(blob, w.eq, w.root);
+            lb += w.run(comm::Collective::allReduce, sz.comm_bytes,
+                        comm::Algorithm::direct)
+                      ->linkBytes();
+            total += w.eq.numProcessed() - warm_events;
+            final_tick = w.eq.curTick();
         }
         processed = total;
         link_bytes = lb;
@@ -564,8 +532,17 @@ main(int argc, char **argv)
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--repeat" && i + 1 < argc) {
-            repeat = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            const std::string val = argv[++i];
+            const char *end = val.data() + val.size();
+            const auto [ptr, ec] =
+                std::from_chars(val.data(), end, repeat);
+            if (ec != std::errc() || ptr != end || repeat == 0) {
+                std::fprintf(stderr,
+                             "perf_kernel: --repeat wants a positive "
+                             "integer, got '%s'\n",
+                             val.c_str());
+                return 2;
+            }
         } else if (arg == "--only" && i + 1 < argc) {
             only = argv[++i];
         } else {
@@ -575,8 +552,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (repeat == 0)
-        repeat = 1;
 
     const Sizes sz = sizesFor(quick);
     using BenchFn = BenchResult (*)(const Sizes &, unsigned);

@@ -93,6 +93,10 @@
  * table (DESIGN.md §14). Exit 1 when any conflict is unwaived. The
  * report is byte-identical for any --jobs value.
  *
+ * A malformed flag value (not a number of the flag's type, a size
+ * past 2^64, an unknown name, a bad fault spec) prints one line and
+ * exits 2 before any job runs.
+ *
  * Examples:
  *   ehpsim_cli --product mi300a --workload cfd --engine roofline
  *   ehpsim_cli --product mi300x --workload triad --partitions 8
@@ -108,13 +112,17 @@
  *       --kill mi300x0:mi300x1@2000000000000 --blackout 3@3000000000000
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "comm/comm_group.hh"
@@ -127,7 +135,6 @@
 #include "core/trace.hh"
 #include "serve/scenario.hh"
 #include "sim/logging.hh"
-#include "sim/pdes/pdes_engine.hh"
 #include "sim/sim_object.hh"
 #include "sim/snapshot.hh"
 #include "soc/node_topology.hh"
@@ -199,6 +206,54 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/** Report a malformed command line in one line and exit 2. */
+template <typename... Args>
+[[noreturn]] void
+argError(Args &&...args)
+{
+    std::ostringstream ss;
+    (ss << ... << args);
+    std::fprintf(stderr, "ehpsim_cli: %s\n", ss.str().c_str());
+    std::exit(2);
+}
+
+/**
+ * Parse @p flag's value @p s into @p out with std::from_chars: the
+ * whole string must be a number of @p out's type (no sign for
+ * unsigned types, no overflow, no trailing junk); floating values
+ * must also be finite and non-negative. Anything else exits 2.
+ */
+template <typename T>
+void
+parseNum(const std::string &flag, const std::string &s, T &out)
+{
+    T v{};
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    bool ok = !s.empty() && ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(v) && v >= 0;
+    if (!ok)
+        argError("bad ", flag, " value '", s, "'");
+    out = v;
+}
+
+/**
+ * Run a library parser or validator at argument time. The fatal()
+ * it raises on bad input has already printed its one-line message,
+ * so exit 2 instead of letting the exception abort the process.
+ */
+template <typename Fn>
+auto
+argCheck(Fn &&fn)
+{
+    try {
+        return fn();
+    } catch (const std::runtime_error &) {
+        std::exit(2);
+    }
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -217,13 +272,13 @@ parseArgs(int argc, char **argv)
         else if (arg == "--engine")
             opt.engine = next();
         else if (arg == "--partitions")
-            opt.partitions = std::stoul(next());
+            parseNum(arg, next(), opt.partitions);
         else if (arg == "--policy")
             opt.policy = next();
         else if (arg == "--nps")
-            opt.nps = std::stoul(next());
+            parseNum(arg, next(), opt.nps);
         else if (arg == "--scale")
-            opt.scale = std::stoull(next());
+            parseNum(arg, next(), opt.scale);
         else if (arg == "--trace")
             opt.trace_path = next();
         else if (arg == "--stats")
@@ -351,6 +406,54 @@ runSweepJob(const std::string &product, const std::string &workload,
     jw.endObject();
 }
 
+/**
+ * The tail every sweep-shaped subcommand shares: run @p runner's
+ * jobs, report the job time and every failed job on stderr (lines
+ * prefixed "@p cmd: "), then write the ehpsim-sweep-v1 document for
+ * @p tool to stdout or @p json_path. @return the exit code: 0, or 1
+ * when a job failed or the JSON could not be written.
+ */
+int
+runSweep(sweep::SweepRunner &runner, const char *cmd, const char *tool,
+         const std::string &json_path)
+{
+    const auto results = runner.run();
+
+    std::fprintf(stderr,
+                 "%s: %zu jobs on %u workers, %.3f s of job time\n",
+                 cmd, results.size(), runner.workers(),
+                 sweep::SweepRunner::totalJobSeconds(results));
+    int failures = 0;
+    for (const auto &res : results) {
+        if (!res.ok) {
+            ++failures;
+            std::fprintf(stderr, "%s: job %zu (%s) failed: %s\n", cmd,
+                         res.index, res.name.c_str(),
+                         res.error.c_str());
+        }
+    }
+
+    if (json_path.empty()) {
+        sweep::SweepRunner::dumpJson(std::cout, tool, results);
+    } else {
+        std::ofstream out(json_path);
+        if (!out) {
+            std::fprintf(stderr, "%s: cannot open %s for writing\n",
+                         cmd, json_path.c_str());
+            return 1;
+        }
+        sweep::SweepRunner::dumpJson(out, tool, results);
+        if (!out.flush()) {
+            std::fprintf(stderr, "%s: error writing %s\n", cmd,
+                         json_path.c_str());
+            return 1;
+        }
+        std::fprintf(stderr, "%s: JSON written to %s\n", cmd,
+                     json_path.c_str());
+    }
+    return failures == 0 ? 0 : 1;
+}
+
 int
 sweepMain(int argc, char **argv)
 {
@@ -376,11 +479,11 @@ sweepMain(int argc, char **argv)
         else if (arg == "--engine")
             engine = next();
         else if (arg == "--jobs")
-            jobs = std::stoul(next());
+            parseNum(arg, next(), jobs);
         else if (arg == "--json")
             json_path = next();
         else if (arg == "--scale")
-            scale = std::stoull(next());
+            parseNum(arg, next(), scale);
         else if (arg == "--stats")
             with_stats = true;
         else if (arg == "--pdes") {
@@ -414,63 +517,31 @@ sweepMain(int argc, char **argv)
         }
     }
 
-    const auto results = runner.run();
-
-    std::fprintf(stderr,
-                 "sweep: %zu jobs on %u workers, %.3f s of job time\n",
-                 results.size(), runner.workers(),
-                 sweep::SweepRunner::totalJobSeconds(results));
-    int failures = 0;
-    for (const auto &res : results) {
-        if (!res.ok) {
-            ++failures;
-            std::fprintf(stderr, "sweep: job %zu (%s) failed: %s\n",
-                         res.index, res.name.c_str(),
-                         res.error.c_str());
-        }
-    }
-
-    if (json_path.empty()) {
-        sweep::SweepRunner::dumpJson(std::cout, "ehpsim_cli", results);
-    } else {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "sweep: cannot open %s for writing\n",
-                         json_path.c_str());
-            return 1;
-        }
-        sweep::SweepRunner::dumpJson(out, "ehpsim_cli", results);
-        if (!out.flush()) {
-            std::fprintf(stderr, "sweep: error writing %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "sweep: JSON written to %s\n",
-                     json_path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
+    return runSweep(runner, "sweep", "ehpsim_cli", json_path);
 }
 
-/** Parse "64", "4K", "16M", "1G" into bytes. */
+/** Parse @p flag's size value "64", "4K", "16M", "1G" into bytes;
+ *  anything else, or a size past 2^64, exits 2. */
 std::uint64_t
-parseSize(const std::string &s)
+parseSize(const std::string &flag, const std::string &s)
 {
-    if (s.empty())
-        fatal("empty size");
-    std::size_t pos = 0;
-    const std::uint64_t value = std::stoull(s, &pos);
-    std::uint64_t mult = 1;
-    if (pos < s.size()) {
-        const char suffix = s[pos];
-        if (suffix == 'K' || suffix == 'k')
-            mult = KiB;
-        else if (suffix == 'M' || suffix == 'm')
-            mult = MiB;
-        else if (suffix == 'G' || suffix == 'g')
-            mult = GiB;
-        else
-            fatal("bad size suffix in '", s, "'");
-    }
+    std::uint64_t value = 0;
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+    const std::string suffix(ptr, end);
+    std::uint64_t mult = 0;
+    if (suffix.empty())
+        mult = 1;
+    else if (suffix == "K" || suffix == "k")
+        mult = KiB;
+    else if (suffix == "M" || suffix == "m")
+        mult = MiB;
+    else if (suffix == "G" || suffix == "g")
+        mult = GiB;
+    if (ec != std::errc() || mult == 0)
+        argError("bad ", flag, " size '", s, "' (want N, NK, NM or NG)");
+    if (value > UINT64_MAX / mult)
+        argError(flag, " size '", s, "' overflows 64 bits");
     return value * mult;
 }
 
@@ -484,7 +555,7 @@ collectiveFor(const std::string &name)
         if (name == comm::collectiveName(c))
             return c;
     }
-    fatal("unknown collective '", name, "'");
+    argError("unknown collective '", name, "'");
 }
 
 comm::Algorithm
@@ -496,41 +567,31 @@ algorithmFor(const std::string &name)
         if (name == comm::algorithmName(a))
             return a;
     }
-    fatal("unknown algorithm '", name, "' (ring, direct, auto)");
+    argError("unknown algorithm '", name, "' (ring, direct, auto)");
 }
 
-/** The comm microbench world, built in one fixed order so a forked
- *  job can rebuild it identically around a warmup checkpoint. */
-struct CommBenchWorld
+soc::NodeKind
+nodeKindFor(const std::string &topology)
 {
-    SimObject root{nullptr, "root"};
-    std::unique_ptr<soc::NodeTopology> topo;
-    EventQueue eq;
-    std::unique_ptr<comm::CommGroup> group;
+    if (topology == "quad")
+        return soc::NodeKind::quad;
+    if (topology == "octo")
+        return soc::NodeKind::octo;
+    argError("unknown topology '", topology, "' (quad, octo)");
+}
 
-    explicit CommBenchWorld(const std::string &topology)
-    {
-        topo = topology == "quad"
-                   ? soc::NodeTopology::mi300aQuadNode(&root)
-                   : soc::NodeTopology::mi300xOctoNode(&root);
-        comm::CommParams params;
-        params.chunk_bytes = 1 * MiB;
-        group = std::make_unique<comm::CommGroup>(
-            topo.get(), "comm", topo->network(), topo->deviceRanks(),
-            &eq, params);
-    }
+/** The comm and race microbenchmarks' communicator: 1 MiB chunks.
+ *  A forked job's world must match the warmup world's. */
+constexpr comm::CommParams kMicrobenchParams{.chunk_bytes = 1 * MiB};
 
-    /** @p n warmup ring all-reduces of @p bytes each, run to the op
-     *  boundary (a legal checkpoint quiesce point). */
-    void
-    warmup(unsigned n, std::uint64_t bytes)
-    {
-        for (unsigned i = 0; i < n; ++i) {
-            group->allReduce(0, bytes, comm::Algorithm::ring);
-            group->waitAll();
-        }
-    }
-};
+/** @p n ring all-reduces of @p bytes each, run to the op boundary
+ *  (a legal checkpoint quiesce point). */
+void
+runWarmup(soc::CommWorld &w, unsigned n, std::uint64_t bytes)
+{
+    for (unsigned i = 0; i < n; ++i)
+        w.run(comm::Collective::allReduce, bytes, comm::Algorithm::ring);
+}
 
 /**
  * The shared warmup prefix of a forked comm sweep: load the blob
@@ -552,8 +613,8 @@ commWarmupBlob(const std::string &topology, unsigned warmup,
             return readSnapshotFile(checkpoint_path);
         }
     }
-    CommBenchWorld w(topology);
-    w.warmup(warmup, warmup_bytes);
+    soc::CommWorld w(nodeKindFor(topology), kMicrobenchParams);
+    runWarmup(w, warmup, warmup_bytes);
     std::string blob = saveWorld(w.eq, w.root);
     if (!checkpoint_path.empty()) {
         writeSnapshotFile(checkpoint_path, blob);
@@ -578,44 +639,15 @@ runCommJob(const std::string &topology, comm::Collective coll,
            unsigned warmup, std::uint64_t warmup_bytes, unsigned pdes,
            const std::string *fork_blob, json::JsonWriter &jw)
 {
-    CommBenchWorld w(topology);
+    soc::CommWorld w(nodeKindFor(topology), kMicrobenchParams, pdes);
+    // Straight-through reference path for a warmed sweep: simulate
+    // the warmup prefix inline. Forked jobs restore it instead.
     if (fork_blob)
         restoreWorld(*fork_blob, w.eq, w.root);
-    comm::CommGroup &group = *w.group;
-
-    std::unique_ptr<pdes::PdesEngine> engine;
-    if (pdes > 0) {
-        engine = std::make_unique<pdes::PdesEngine>(
-            &w.eq, w.topo->network(), pdes);
-        group.attachPdes(engine.get());
-    }
-
-    // Straight-through reference path for a warmed sweep: simulate
-    // the warmup prefix inline. Forked jobs restored it instead.
-    if (!fork_blob)
-        w.warmup(warmup, warmup_bytes);
-
-    comm::OpHandle op;
-    switch (coll) {
-      case comm::Collective::allReduce:
-        op = group.allReduce(0, bytes, algo);
-        break;
-      case comm::Collective::allGather:
-        op = group.allGather(0, bytes, algo);
-        break;
-      case comm::Collective::reduceScatter:
-        op = group.reduceScatter(0, bytes, algo);
-        break;
-      case comm::Collective::broadcast:
-        op = group.broadcast(0, 0, bytes, algo);
-        break;
-      default:
-        op = group.allToAll(0, bytes, algo);
-        break;
-    }
-    group.waitAll();
-    if (engine)
-        group.attachPdes(nullptr);
+    else
+        runWarmup(w, warmup, warmup_bytes);
+    const comm::OpHandle op = w.run(coll, bytes, algo);
+    const comm::CommGroup &group = w.group;
 
     jw.beginObject();
     jw.kv("topology", topology);
@@ -662,32 +694,31 @@ commMain(int argc, char **argv)
         else if (arg == "--sizes")
             sizes = splitList(next());
         else if (arg == "--warmup")
-            warmup = std::stoul(next());
+            parseNum(arg, next(), warmup);
         else if (arg == "--warmup-bytes")
-            warmup_bytes = parseSize(next());
+            warmup_bytes = parseSize(arg, next());
         else if (arg == "--fork")
             fork = true;
         else if (arg == "--checkpoint")
             checkpoint_path = next();
         else if (arg == "--pdes")
-            pdes = std::stoul(next());
+            parseNum(arg, next(), pdes);
         else if (arg == "--jobs")
-            jobs = std::stoul(next());
+            parseNum(arg, next(), jobs);
         else if (arg == "--json")
             json_path = next();
         else
             usage(argv[0]);
     }
-    if (topology != "quad" && topology != "octo")
-        fatal("unknown topology '", topology, "' (quad, octo)");
+    nodeKindFor(topology);
     if (algos.empty() || sizes.empty() || jobs == 0)
         usage(argv[0]);
     if (!checkpoint_path.empty() && !fork)
-        fatal("comm: --checkpoint needs --fork (the file holds the "
-              "forked warmup prefix)");
+        argError("comm: --checkpoint needs --fork (the file holds "
+                 "the forked warmup prefix)");
     if (fork && warmup == 0 && checkpoint_path.empty())
-        fatal("comm: --fork needs a warmup prefix to share (set "
-              "--warmup N, or --checkpoint F to load one)");
+        argError("comm: --fork needs a warmup prefix to share (set "
+                 "--warmup N, or --checkpoint F to load one)");
     const comm::Collective coll = collectiveFor(collective);
 
     // Every point of the sweep shares one warmup prefix: with
@@ -708,7 +739,7 @@ commMain(int argc, char **argv)
     for (const auto &algo_name : algos) {
         const comm::Algorithm algo = algorithmFor(algo_name);
         for (const auto &size : sizes) {
-            const std::uint64_t bytes = parseSize(size);
+            const std::uint64_t bytes = parseSize("--sizes", size);
             const std::string name = topology + "/" + collective +
                                      "/" + algo_name + "/" + size;
             if (fork) {
@@ -729,42 +760,7 @@ commMain(int argc, char **argv)
         }
     }
 
-    const auto results = runner.run();
-
-    std::fprintf(stderr,
-                 "comm: %zu jobs on %u workers, %.3f s of job time\n",
-                 results.size(), runner.workers(),
-                 sweep::SweepRunner::totalJobSeconds(results));
-    int failures = 0;
-    for (const auto &res : results) {
-        if (!res.ok) {
-            ++failures;
-            std::fprintf(stderr, "comm: job %zu (%s) failed: %s\n",
-                         res.index, res.name.c_str(),
-                         res.error.c_str());
-        }
-    }
-
-    if (json_path.empty()) {
-        sweep::SweepRunner::dumpJson(std::cout, "ehpsim_cli_comm",
-                                     results);
-    } else {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "comm: cannot open %s for writing\n",
-                         json_path.c_str());
-            return 1;
-        }
-        sweep::SweepRunner::dumpJson(out, "ehpsim_cli_comm", results);
-        if (!out.flush()) {
-            std::fprintf(stderr, "comm: error writing %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "comm: JSON written to %s\n",
-                     json_path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
+    return runSweep(runner, "comm", "ehpsim_cli_comm", json_path);
 }
 
 /**
@@ -777,51 +773,18 @@ runFaultJob(const std::string &topology, comm::Collective coll,
             const fault::FaultPlan &plan, const comm::CommParams &params,
             unsigned pdes, json::JsonWriter &jw)
 {
-    SimObject root(nullptr, "root");
-    auto topo = topology == "quad"
-                    ? soc::NodeTopology::mi300aQuadNode(&root)
-                    : soc::NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    comm::CommGroup group(topo.get(), "comm", topo->network(),
-                          topo->deviceRanks(), &eq, params);
-
-    fault::FaultInjector injector(topo.get(), "inj", plan, &eq);
-    injector.attachNetwork(topo->network());
-    injector.attachCommGroup(&group);
-    injector.arm();
-
     // Scheduled link kills land on the coordinator queue and bump
-    // the route epoch; the engine collapses partition groups at the
-    // next window boundary, so the faulted schedule (and the JSON
-    // below) is byte-identical to the serial run's.
-    std::unique_ptr<pdes::PdesEngine> engine;
-    if (pdes > 0) {
-        engine = std::make_unique<pdes::PdesEngine>(
-            &eq, topo->network(), pdes);
-        group.attachPdes(engine.get());
-    }
-
-    comm::OpHandle op;
-    switch (coll) {
-      case comm::Collective::allReduce:
-        op = group.allReduce(0, bytes, algo);
-        break;
-      case comm::Collective::allGather:
-        op = group.allGather(0, bytes, algo);
-        break;
-      case comm::Collective::reduceScatter:
-        op = group.reduceScatter(0, bytes, algo);
-        break;
-      case comm::Collective::broadcast:
-        op = group.broadcast(0, 0, bytes, algo);
-        break;
-      default:
-        op = group.allToAll(0, bytes, algo);
-        break;
-    }
-    group.waitAll();
-    if (engine)
-        group.attachPdes(nullptr);
+    // the route epoch; under PDES the engine collapses partition
+    // groups at the next window boundary, so the faulted schedule
+    // (and the JSON below) is byte-identical to the serial run's.
+    soc::CommWorld w(nodeKindFor(topology), params, pdes);
+    fault::FaultInjector injector(w.topo.get(), "inj", plan, &w.eq);
+    injector.attachNetwork(w.topo->network());
+    injector.attachCommGroup(&w.group);
+    injector.arm();
+    const comm::OpHandle op = w.run(coll, bytes, algo);
+    const comm::CommGroup &group = w.group;
+    const fabric::Network &net = *w.topo->network();
 
     jw.beginObject();
     jw.kv("topology", topology);
@@ -836,11 +799,9 @@ runFaultJob(const std::string &topology, comm::Collective coll,
     jw.kv("faults_injected", injector.faults_injected.value());
     jw.kv("chunk_retries", group.chunk_retries.value());
     jw.kv("retry_wait_ticks", group.retry_wait_ticks.value());
-    jw.kv("links_killed",
-          topo->network()->links_killed.value());
-    jw.kv("links_derated",
-          topo->network()->links_derated.value());
-    jw.kv("reroutes", topo->network()->reroutes.value());
+    jw.kv("links_killed", net.links_killed.value());
+    jw.kv("links_derated", net.links_derated.value());
+    jw.kv("reroutes", net.reroutes.value());
     jw.kv("max_link_busy", group.maxLinkUtilization());
     jw.endObject();
 }
@@ -882,24 +843,24 @@ faultMain(int argc, char **argv)
         else if (arg == "--rates")
             rates = splitList(next());
         else if (arg == "--seed")
-            seed = std::stoull(next());
+            parseNum(arg, next(), seed);
         else if (arg == "--kill")
-            kills.push_back(fault::parseLinkFault(next()));
+            kills.push_back(argCheck(
+                [&] { return fault::parseLinkFault(next()); }));
         else if (arg == "--max-retries")
-            params.max_retries = std::stoul(next());
+            parseNum(arg, next(), params.max_retries);
         else if (arg == "--retry-timeout")
-            params.retry_timeout = std::stoull(next());
+            parseNum(arg, next(), params.retry_timeout);
         else if (arg == "--pdes")
-            pdes = std::stoul(next());
+            parseNum(arg, next(), pdes);
         else if (arg == "--jobs")
-            jobs = std::stoul(next());
+            parseNum(arg, next(), jobs);
         else if (arg == "--json")
             json_path = next();
         else
             usage(argv[0]);
     }
-    if (topology != "quad" && topology != "octo")
-        fatal("unknown topology '", topology, "' (quad, octo)");
+    nodeKindFor(topology);
     if (algos.empty() || sizes.empty() || rates.empty() || jobs == 0)
         usage(argv[0]);
     const comm::Collective coll = collectiveFor(collective);
@@ -908,13 +869,13 @@ faultMain(int argc, char **argv)
     for (const auto &algo_name : algos) {
         const comm::Algorithm algo = algorithmFor(algo_name);
         for (const auto &size : sizes) {
-            const std::uint64_t bytes = parseSize(size);
+            const std::uint64_t bytes = parseSize("--sizes", size);
             for (const auto &rate : rates) {
                 fault::FaultPlan plan;
                 plan.seed = seed;
-                plan.chunk_error_rate = std::stod(rate);
+                parseNum("--rates", rate, plan.chunk_error_rate);
                 plan.link_faults = kills;
-                plan.validate();
+                argCheck([&] { plan.validate(); });
                 runner.addJob(topology + "/" + collective + "/" +
                                   algo_name + "/" + size + "/" + rate,
                               [=](json::JsonWriter &jw) {
@@ -926,42 +887,7 @@ faultMain(int argc, char **argv)
         }
     }
 
-    const auto results = runner.run();
-
-    std::fprintf(stderr,
-                 "fault: %zu jobs on %u workers, %.3f s of job time\n",
-                 results.size(), runner.workers(),
-                 sweep::SweepRunner::totalJobSeconds(results));
-    int failures = 0;
-    for (const auto &res : results) {
-        if (!res.ok) {
-            ++failures;
-            std::fprintf(stderr, "fault: job %zu (%s) failed: %s\n",
-                         res.index, res.name.c_str(),
-                         res.error.c_str());
-        }
-    }
-
-    if (json_path.empty()) {
-        sweep::SweepRunner::dumpJson(std::cout, "ehpsim_cli_fault",
-                                     results);
-    } else {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "fault: cannot open %s for writing\n",
-                         json_path.c_str());
-            return 1;
-        }
-        sweep::SweepRunner::dumpJson(out, "ehpsim_cli_fault", results);
-        if (!out.flush()) {
-            std::fprintf(stderr, "fault: error writing %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "fault: JSON written to %s\n",
-                     json_path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
+    return runSweep(runner, "fault", "ehpsim_cli_fault", json_path);
 }
 
 /** Parse "ch@tick" into a scheduled HBM channel blackout. */
@@ -969,11 +895,11 @@ fault::ChannelFault
 parseChannelFault(const std::string &spec)
 {
     const auto at = spec.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 >= spec.size())
-        fatal("bad blackout spec '", spec, "' (want ch@tick)");
+    if (at == std::string::npos)
+        argError("bad --blackout '", spec, "' (want ch@tick)");
     fault::ChannelFault f;
-    f.channel = std::stoul(spec.substr(0, at));
-    f.at = std::stoull(spec.substr(at + 1));
+    parseNum("--blackout channel", spec.substr(0, at), f.channel);
+    parseNum("--blackout tick", spec.substr(at + 1), f.at);
     return f;
 }
 
@@ -998,37 +924,37 @@ serveMain(int argc, char **argv)
         else if (arg == "--loads")
             loads = splitList(next());
         else if (arg == "--tp")
-            base.tp = std::stoul(next());
+            parseNum(arg, next(), base.tp);
         else if (arg == "--requests")
-            base.num_requests = std::stoul(next());
+            parseNum(arg, next(), base.num_requests);
         else if (arg == "--input-tokens")
-            base.input_tokens = std::stoul(next());
+            parseNum(arg, next(), base.input_tokens);
         else if (arg == "--output-tokens")
-            base.output_tokens = std::stoul(next());
+            parseNum(arg, next(), base.output_tokens);
         else if (arg == "--seed")
-            base.seed = std::stoull(next());
+            parseNum(arg, next(), base.seed);
         else if (arg == "--bursty")
             base.bursty = true;
         else if (arg == "--token-budget")
-            base.token_budget = std::stoul(next());
+            parseNum(arg, next(), base.token_budget);
         else if (arg == "--max-batch")
-            base.max_batch = std::stoul(next());
+            parseNum(arg, next(), base.max_batch);
         else if (arg == "--kv-blocks")
-            base.kv_blocks_override = std::stoull(next());
+            parseNum(arg, next(), base.kv_blocks_override);
         else if (arg == "--error-rate")
-            base.faults.chunk_error_rate = std::stod(next());
+            parseNum(arg, next(), base.faults.chunk_error_rate);
         else if (arg == "--kill")
-            base.faults.link_faults.push_back(
-                fault::parseLinkFault(next()));
+            base.faults.link_faults.push_back(argCheck(
+                [&] { return fault::parseLinkFault(next()); }));
         else if (arg == "--blackout")
             base.faults.channel_faults.push_back(
                 parseChannelFault(next()));
         else if (arg == "--pdes")
-            base.pdes = std::stoul(next());
+            parseNum(arg, next(), base.pdes);
         else if (arg == "--checkpoint-at")
-            base.checkpoint_at = std::stoull(next());
+            parseNum(arg, next(), base.checkpoint_at);
         else if (arg == "--jobs")
-            jobs = std::stoul(next());
+            parseNum(arg, next(), jobs);
         else if (arg == "--json")
             json_path = next();
         else
@@ -1037,14 +963,14 @@ serveMain(int argc, char **argv)
     if (devices.empty() || loads.empty() || jobs == 0)
         usage(argv[0]);
     base.faults.seed = base.seed;
-    base.faults.validate();
+    argCheck([&] { base.faults.validate(); });
 
     sweep::SweepRunner runner(jobs);
     for (const auto &device : devices) {
         for (const auto &load : loads) {
             serve::ScenarioParams p = base;
             p.device = device;
-            p.load_rps = std::stod(load);
+            parseNum("--loads", load, p.load_rps);
             runner.addJob(device + "/load" + load,
                           [p](json::JsonWriter &jw) {
                               const auto r =
@@ -1054,42 +980,7 @@ serveMain(int argc, char **argv)
         }
     }
 
-    const auto results = runner.run();
-
-    std::fprintf(stderr,
-                 "serve: %zu jobs on %u workers, %.3f s of job time\n",
-                 results.size(), runner.workers(),
-                 sweep::SweepRunner::totalJobSeconds(results));
-    int failures = 0;
-    for (const auto &res : results) {
-        if (!res.ok) {
-            ++failures;
-            std::fprintf(stderr, "serve: job %zu (%s) failed: %s\n",
-                         res.index, res.name.c_str(),
-                         res.error.c_str());
-        }
-    }
-
-    if (json_path.empty()) {
-        sweep::SweepRunner::dumpJson(std::cout, "ehpsim_cli_serve",
-                                     results);
-    } else {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "serve: cannot open %s for writing\n",
-                         json_path.c_str());
-            return 1;
-        }
-        sweep::SweepRunner::dumpJson(out, "ehpsim_cli_serve", results);
-        if (!out.flush()) {
-            std::fprintf(stderr, "serve: error writing %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "serve: JSON written to %s\n",
-                     json_path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
+    return runSweep(runner, "serve", "ehpsim_cli_serve", json_path);
 }
 
 #ifdef EHPSIM_RACE
@@ -1147,15 +1038,8 @@ runRaceCommJob(std::uint64_t bytes, json::JsonWriter &jw,
     race::addStandardWaivers(t);
     {
         race::TrackerScope scope(&t);
-        SimObject root(nullptr, "root");
-        auto topo = soc::NodeTopology::mi300xOctoNode(&root);
-        EventQueue eq;
-        comm::CommParams params;
-        params.chunk_bytes = 1 * MiB;
-        comm::CommGroup group(topo.get(), "comm", topo->network(),
-                              topo->deviceRanks(), &eq, params);
-        group.allReduce(0, bytes, comm::Algorithm::ring);
-        group.waitAll();
+        soc::CommWorld w(soc::NodeKind::octo, kMicrobenchParams);
+        w.run(comm::Collective::allReduce, bytes, comm::Algorithm::ring);
     }
     dumpRaceScenario(jw, "comm_allreduce_octo", t);
     extractRaceData(t, out);
@@ -1201,13 +1085,13 @@ raceMain(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--bytes")
-            bytes = parseSize(next());
+            bytes = parseSize(arg, next());
         else if (arg == "--requests")
-            requests = std::stoul(next());
+            parseNum(arg, next(), requests);
         else if (arg == "--seed")
-            seed = std::stoull(next());
+            parseNum(arg, next(), seed);
         else if (arg == "--jobs")
-            jobs = std::stoul(next());
+            parseNum(arg, next(), jobs);
         else if (arg == "--json")
             json_path = next();
         else

@@ -19,7 +19,7 @@ namespace
 {
 
 void
-describe(NodeTopology &node, const char *title)
+describe(NodeTopology &node, EventQueue &eq, const char *title)
 {
     std::printf("\n== %s ==\n", title);
     const unsigned n = node.numEndpoints();
@@ -39,9 +39,11 @@ describe(NodeTopology &node, const char *title)
     }
     std::printf("bisection bandwidth: %.0f GB/s\n",
                 node.bisectionBandwidth() / 1e9);
-    const Tick a2a = node.allToAll(0, 64u << 20);
-    std::printf("64 MB all-to-all: %.2f ms\n",
-                secondsFromTicks(a2a) * 1e3);
+    comm::CommGroup &group = *node.commGroup(&eq);
+    const comm::OpHandle a2a =
+        group.allToAll(0, 64u << 20, comm::Algorithm::direct);
+    group.waitAll();
+    std::printf("64 MB all-to-all: %.2f ms\n", a2a->seconds() * 1e3);
 }
 
 } // anonymous namespace
@@ -49,12 +51,15 @@ describe(NodeTopology &node, const char *title)
 int
 main()
 {
+    // One queue drives every node's communicator; each exchange
+    // runs on its own node's links.
+    EventQueue eq;
     SimObject root(nullptr, "root", nullptr);
 
     // Fig. 18(a): four MI300A APUs, fully connected, 2 x16 IF links
     // per pair, two links spare per socket for NIC/storage.
     auto quad = NodeTopology::mi300aQuadNode(&root);
-    describe(*quad, "Fig. 18a: 4x MI300A, fully connected IF");
+    describe(*quad, eq, "Fig. 18a: 4x MI300A, fully connected IF");
     for (unsigned s = 0; s < 4; ++s) {
         std::printf("socket %u free x16 links: %u\n", s,
                     quad->freeLinks(s));
@@ -62,7 +67,7 @@ main()
 
     // Fig. 18(b): eight MI300X accelerators + two EPYC hosts.
     auto octo = NodeTopology::mi300xOctoNode(&root);
-    describe(*octo, "Fig. 18b: 8x MI300X + EPYC hosts over PCIe");
+    describe(*octo, eq, "Fig. 18b: 8x MI300X + EPYC hosts over PCIe");
 
     // A custom exploration: a 2D ring of four sockets with doubled
     // links on one axis (what if the node spent all eight links on
@@ -72,7 +77,7 @@ main()
         ring.addSocket("s" + std::to_string(i), 8);
     for (unsigned i = 0; i < 4; ++i)
         ring.connect(i, (i + 1) % 4, 4);
-    describe(ring, "custom: 4-socket ring, 4x16 per edge");
+    describe(ring, eq, "custom: 4-socket ring, 4x16 per edge");
     std::printf("\nObservation: the ring doubles neighbor bandwidth "
                 "but halves bisection versus\nthe fully-connected "
                 "Fig. 18a topology and adds a hop for opposite "

@@ -823,52 +823,53 @@ CollectiveOp::setOnComplete(std::function<void(Tick)> fn)
 }
 
 OpHandle
+CommGroup::collective(Collective coll, Tick when, std::uint64_t bytes,
+                      Algorithm algo)
+{
+    return launch(coll, when, bytes, algo, 0);
+}
+
+OpHandle
+CommGroup::launch(Collective coll, Tick when, std::uint64_t bytes,
+                  Algorithm algo, unsigned root)
+{
+    if (coll == Collective::sendRecv)
+        fatal("CommGroup '", name(), "': send_recv is "
+              "point-to-point; use sendRecv()");
+    auto op = std::make_shared<CollectiveOp>();
+    op->kind_ = coll;
+    op->algo_ = algo == Algorithm::automatic ? choose(coll, bytes)
+                                             : algo;
+    op->data_bytes_ = bytes;
+    if (coll == Collective::allToAll) {
+        // Every rank sends bytes to every other rank.
+        const std::uint64_t n = numRanks();
+        op->data_bytes_ = n < 2 ? 0 : bytes * n * (n - 1);
+    }
+    if (op->algo_ == Algorithm::ring)
+        buildRing(*op, bytes, root);
+    else
+        buildDirect(*op, bytes, root);
+    return start(when, op);
+}
+
+OpHandle
 CommGroup::allReduce(Tick when, std::uint64_t bytes, Algorithm algo)
 {
-    auto op = std::make_shared<CollectiveOp>();
-    op->kind_ = Collective::allReduce;
-    op->algo_ = algo == Algorithm::automatic
-                    ? choose(op->kind_, bytes)
-                    : algo;
-    op->data_bytes_ = bytes;
-    if (op->algo_ == Algorithm::ring)
-        buildRing(*op, bytes, 0);
-    else
-        buildDirect(*op, bytes, 0);
-    return start(when, op);
+    return collective(Collective::allReduce, when, bytes, algo);
 }
 
 OpHandle
 CommGroup::allGather(Tick when, std::uint64_t bytes, Algorithm algo)
 {
-    auto op = std::make_shared<CollectiveOp>();
-    op->kind_ = Collective::allGather;
-    op->algo_ = algo == Algorithm::automatic
-                    ? choose(op->kind_, bytes)
-                    : algo;
-    op->data_bytes_ = bytes;
-    if (op->algo_ == Algorithm::ring)
-        buildRing(*op, bytes, 0);
-    else
-        buildDirect(*op, bytes, 0);
-    return start(when, op);
+    return collective(Collective::allGather, when, bytes, algo);
 }
 
 OpHandle
 CommGroup::reduceScatter(Tick when, std::uint64_t bytes,
                          Algorithm algo)
 {
-    auto op = std::make_shared<CollectiveOp>();
-    op->kind_ = Collective::reduceScatter;
-    op->algo_ = algo == Algorithm::automatic
-                    ? choose(op->kind_, bytes)
-                    : algo;
-    op->data_bytes_ = bytes;
-    if (op->algo_ == Algorithm::ring)
-        buildRing(*op, bytes, 0);
-    else
-        buildDirect(*op, bytes, 0);
-    return start(when, op);
+    return collective(Collective::reduceScatter, when, bytes, algo);
 }
 
 OpHandle
@@ -878,35 +879,13 @@ CommGroup::broadcast(Tick when, unsigned root, std::uint64_t bytes,
     if (root >= numRanks())
         fatal("broadcast root ", root, " out of range (", numRanks(),
               " ranks)");
-    auto op = std::make_shared<CollectiveOp>();
-    op->kind_ = Collective::broadcast;
-    op->algo_ = algo == Algorithm::automatic
-                    ? choose(op->kind_, bytes)
-                    : algo;
-    op->data_bytes_ = bytes;
-    if (op->algo_ == Algorithm::ring)
-        buildRing(*op, bytes, root);
-    else
-        buildDirect(*op, bytes, root);
-    return start(when, op);
+    return launch(Collective::broadcast, when, bytes, algo, root);
 }
 
 OpHandle
 CommGroup::allToAll(Tick when, std::uint64_t bytes, Algorithm algo)
 {
-    auto op = std::make_shared<CollectiveOp>();
-    op->kind_ = Collective::allToAll;
-    op->algo_ = algo == Algorithm::automatic
-                    ? choose(op->kind_, bytes)
-                    : algo;
-    const unsigned n = numRanks();
-    op->data_bytes_ =
-        n < 2 ? 0 : bytes * n * static_cast<std::uint64_t>(n - 1);
-    if (op->algo_ == Algorithm::ring)
-        buildRing(*op, bytes, 0);
-    else
-        buildDirect(*op, bytes, 0);
-    return start(when, op);
+    return collective(Collective::allToAll, when, bytes, algo);
 }
 
 OpHandle

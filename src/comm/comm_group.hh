@@ -246,7 +246,11 @@ class CommGroup : public SimObject
      * @p bytes is the per-rank buffer size: all-gather gathers
      * @p bytes in total (each rank contributes bytes/N), all-to-all
      * sends @p bytes from every rank to every other rank.
+     * collective() starts any kind but sendRecv (fatal; it needs a
+     * rank pair), broadcasting from rank 0.
      */
+    OpHandle collective(Collective coll, Tick when, std::uint64_t bytes,
+                        Algorithm algo = Algorithm::automatic);
     OpHandle allReduce(Tick when, std::uint64_t bytes,
                        Algorithm algo = Algorithm::automatic);
     OpHandle allGather(Tick when, std::uint64_t bytes,
@@ -446,6 +450,11 @@ class CommGroup : public SimObject
                    unsigned root);
     void buildDirect(CollectiveOp &op, std::uint64_t bytes,
                      unsigned root);
+
+    /** Build a collective's DAG and start it; @p root is the
+     *  broadcast source. */
+    OpHandle launch(Collective coll, Tick when, std::uint64_t bytes,
+                    Algorithm algo, unsigned root);
 
     /** Record stats, clamp the start tick, schedule ready tasks. */
     OpHandle start(Tick when, OpHandle op);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/pdes/pdes_engine.hh"
 
 namespace ehpsim
 {
@@ -134,13 +135,13 @@ NodeTopology::deviceRanks() const
 }
 
 comm::CommGroup *
-NodeTopology::commGroup()
+NodeTopology::commGroup(EventQueue *eq, const comm::CommParams &params)
 {
-    if (!comm_) {
-        comm_eq_ = std::make_unique<EventQueue>();
-        comm_ = std::make_unique<comm::CommGroup>(
-            this, "comm", net_.get(), deviceRanks(), comm_eq_.get());
-    }
+    if (comm_)
+        fatal(name(), ": commGroup() called twice (one communicator "
+              "per topology)");
+    comm_ = std::make_unique<comm::CommGroup>(this, "comm", net_.get(),
+                                              deviceRanks(), eq, params);
     return comm_.get();
 }
 
@@ -166,18 +167,6 @@ NodeTopology::p2pLatency(unsigned a, unsigned b)
     for (std::size_t i = 0; i + 1 < path.size(); ++i)
         t += net_->link(path[i], path[i + 1])->params().latency;
     return t;
-}
-
-Tick
-NodeTopology::allToAll(Tick when, std::uint64_t bytes)
-{
-    // Every device socket streams its per-peer blocks directly;
-    // chunked transfers on the event queue contend per link rather
-    // than being summed in closed form.
-    comm::CommGroup *cg = commGroup();
-    const auto op = cg->allToAll(when, bytes, comm::Algorithm::direct);
-    cg->waitAll();
-    return op->finishTick();
 }
 
 double
@@ -235,6 +224,32 @@ NodeTopology::mi300xOctoNode(SimObject *parent)
     for (unsigned a = 0; a < 8; ++a)
         node->connect(a, a < 4 ? host0 : host1, 1, true);
     return node;
+}
+
+CommWorld::CommWorld(NodeKind kind, const comm::CommParams &params,
+                     unsigned pdes_partitions)
+    : root(nullptr, "root"),
+      topo(kind == NodeKind::quad
+               ? NodeTopology::mi300aQuadNode(&root)
+               : NodeTopology::mi300xOctoNode(&root)),
+      group(*topo->commGroup(&eq, params))
+{
+    if (pdes_partitions > 0) {
+        engine_ = std::make_unique<pdes::PdesEngine>(
+            &eq, topo->network(), pdes_partitions);
+        group.attachPdes(engine_.get());
+    }
+}
+
+CommWorld::~CommWorld() = default;
+
+comm::OpHandle
+CommWorld::run(comm::Collective coll, std::uint64_t bytes,
+               comm::Algorithm algo)
+{
+    comm::OpHandle op = group.collective(coll, 0, bytes, algo);
+    group.waitAll();
+    return op;
 }
 
 } // namespace soc

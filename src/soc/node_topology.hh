@@ -11,6 +11,10 @@
  *  - mi300xOctoNode(): eight MI300X accelerators fully connected
  *    with one x16 IF link per pair (7 per socket) plus one PCIe
  *    link per socket back to an EPYC host.
+ *
+ * CommWorld packages one of those nodes with its event queue and
+ * the communicator over its devices: the world every collective,
+ * fault and PDES experiment runs on.
  */
 
 #ifndef EHPSIM_SOC_NODE_TOPOLOGY_HH
@@ -89,11 +93,14 @@ class NodeTopology : public SimObject
     std::vector<fabric::NodeId> deviceRanks() const;
 
     /**
-     * The communicator over the node's device sockets (hosts are
-     * not ranks). Built on first use and driven by a topology-owned
-     * event queue; the topology is frozen from then on.
+     * Build the communicator over the node's device sockets (hosts
+     * are not ranks), driven by the caller's @p eq. One per
+     * topology: a second call is fatal, and the topology is frozen
+     * from the first call on.
      */
-    comm::CommGroup *commGroup();
+    comm::CommGroup *commGroup(EventQueue *eq,
+                               const comm::CommParams &params =
+                                   comm::CommParams{});
 
     /** x16 links still unused on an endpoint. */
     unsigned freeLinks(unsigned socket) const;
@@ -106,15 +113,6 @@ class NodeTopology : public SimObject
 
     /** One-way latency between endpoints, ticks. */
     Tick p2pLatency(unsigned a, unsigned b);
-
-    /**
-     * Simulate an all-to-all exchange where every device socket
-     * sends @p bytes to every other. Backed by the comm engine
-     * (direct algorithm over the event queue), so repeated or
-     * overlapping exchanges contend for links. @return completion
-     * ticks.
-     */
-    Tick allToAll(Tick when, std::uint64_t bytes);
 
     /** Aggregate node bisection bandwidth estimate (bytes/s). */
     double bisectionBandwidth() const;
@@ -142,8 +140,58 @@ class NodeTopology : public SimObject
     std::vector<double> link_gbps_;
     std::vector<bool> is_host_;
     std::vector<SocketLink> connections_;
-    std::unique_ptr<EventQueue> comm_eq_;
     std::unique_ptr<comm::CommGroup> comm_;
+};
+
+/** The Fig. 18 node a CommWorld is built on. */
+enum class NodeKind
+{
+    quad,   ///< NodeTopology::mi300aQuadNode()
+    octo,   ///< NodeTopology::mi300xOctoNode()
+};
+
+/**
+ * An all-device comm world: an event queue, a root, one Fig. 18
+ * node and the communicator over every device socket. Built in one
+ * fixed order (queue, root, topology, group, then the optional PDES
+ * engine), so restoreWorld() of a blob saved from one world into a
+ * freshly built world of the same kind and params resumes it
+ * exactly (DESIGN.md §16).
+ */
+class CommWorld
+{
+  public:
+    /**
+     * @param pdes_partitions Run the group's collectives on that
+     *        many conservative partitions (DESIGN.md §15); 0 keeps
+     *        them on the serial queue. The engine stays attached
+     *        for the world's lifetime, and every waitAll() folds
+     *        its per-partition stat shards back into the group.
+     */
+    explicit CommWorld(NodeKind kind,
+                       const comm::CommParams &params =
+                           comm::CommParams{},
+                       unsigned pdes_partitions = 0);
+
+    ~CommWorld();
+
+    CommWorld(const CommWorld &) = delete;
+    CommWorld &operator=(const CommWorld &) = delete;
+
+    EventQueue eq;
+    SimObject root;
+    std::unique_ptr<NodeTopology> topo;
+    comm::CommGroup &group;
+
+    /** The parallel core, or nullptr on the serial queue. */
+    pdes::PdesEngine *pdes() { return engine_.get(); }
+
+    /** Start @p coll at the current tick and drive it to completion. */
+    comm::OpHandle run(comm::Collective coll, std::uint64_t bytes,
+                       comm::Algorithm algo);
+
+  private:
+    std::unique_ptr<pdes::PdesEngine> engine_;
 };
 
 } // namespace soc

@@ -7,12 +7,16 @@
  * straight-through run while actually sharing the warmup (DESIGN.md
  * §16). The figure benches' flag parser is checked the same way: a
  * flag a bench does not take must exit 2, not be silently ignored.
+ * Malformed values (garbage or negative numbers, overflowing sizes,
+ * bad fault specs) exit 2 with one message instead of aborting.
  * The binaries come in via EHPSIM_CLI_BIN, EHPSIM_SWEEP_BENCH_BIN
- * (a sweep-shaped bench) and EHPSIM_PLAIN_BENCH_BIN (a flagless one).
+ * (a sweep-shaped bench), EHPSIM_PLAIN_BENCH_BIN (a flagless one)
+ * and EHPSIM_PERF_KERNEL_BIN.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -63,6 +67,19 @@ expectUsageError(const std::string &bin, const std::string &args,
     EXPECT_EQ(res.exit_code, 2) << args;
     EXPECT_NE(res.stderr_text.find("usage:"), std::string::npos)
         << res.stderr_text;
+}
+
+/** @p args must exit 2 with exactly one line on stderr. */
+void
+expectArgError(const std::string &bin, const std::string &args,
+               const std::string &tag)
+{
+    const auto res = runBin(bin, args, tag);
+    EXPECT_EQ(res.exit_code, 2) << args << "\n" << res.stderr_text;
+    EXPECT_EQ(std::count(res.stderr_text.begin(),
+                         res.stderr_text.end(), '\n'),
+              1)
+        << args << "\n" << res.stderr_text;
 }
 
 std::string
@@ -212,4 +229,44 @@ TEST(BenchFlags, TrailingJsonWithoutValueIsRejected)
 TEST(BenchFlags, PlainBenchTakesNoSweepFlags)
 {
     expectUsageError(EHPSIM_PLAIN_BENCH_BIN, "--jobs 2", "plain_jobs");
+}
+
+TEST(CliArgs, MalformedNumbersExitTwo)
+{
+    const std::string cli = EHPSIM_CLI_BIN;
+    expectArgError(cli, "comm --jobs banana", "jobs_banana");
+    expectArgError(cli, "comm --jobs -1", "jobs_negative");
+    expectArgError(cli, "comm --pdes 4x", "pdes_junk");
+    expectArgError(cli, "fault --max-retries 99999999999",
+                   "retries_overflow");
+    expectArgError(cli, "serve --requests 1e3", "requests_float");
+    expectArgError(cli, "serve --loads 1.0,nan", "loads_nan");
+    expectArgError(cli, "sweep --scale -2", "scale_negative");
+    expectArgError(cli, "race --requests x", "race_requests");
+}
+
+TEST(CliArgs, OverflowingSizeExitsTwo)
+{
+    const std::string cli = EHPSIM_CLI_BIN;
+    expectArgError(cli, "comm --sizes 99999999999999G", "size_wrap");
+    expectArgError(cli, "comm --sizes 4Q", "size_suffix");
+    expectArgError(cli, "comm --warmup-bytes 16MB", "size_trailing");
+}
+
+TEST(CliArgs, BadNamesAndSpecsExitTwo)
+{
+    const std::string cli = EHPSIM_CLI_BIN;
+    expectArgError(cli, "comm --topology bogus", "topology");
+    expectArgError(cli, "comm --collective all_sum", "collective");
+    expectArgError(cli, "fault --algos ring,best", "algorithm");
+    expectArgError(cli, "fault --kill bad", "kill");
+    expectArgError(cli, "fault --rates 1.5", "rate_range");
+    expectArgError(cli, "serve --blackout 3@x", "blackout");
+}
+
+TEST(BenchFlags, PerfKernelRepeatMustBeAPositiveInteger)
+{
+    expectArgError(EHPSIM_PERF_KERNEL_BIN, "--repeat banana",
+                   "repeat_banana");
+    expectArgError(EHPSIM_PERF_KERNEL_BIN, "--repeat 0", "repeat_zero");
 }

@@ -51,14 +51,8 @@ makeRingOnlyQuad(SimObject *root)
 OpHandle
 quadAllReduce(std::uint64_t bytes, Algorithm algo)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, fineGrained());
-    auto op = group.allReduce(0, bytes, algo);
-    group.waitAll();
-    return op;
+    CommWorld w(NodeKind::quad, fineGrained());
+    return w.run(Collective::allReduce, bytes, algo);
 }
 
 } // anonymous namespace
@@ -122,11 +116,8 @@ TEST(CommContention, ConcurrentAllReducesSlowEachOther)
     const double t_solo = solo->seconds();
     ASSERT_GT(t_solo, 0.0);
 
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, fineGrained());
+    CommWorld w(NodeKind::quad, fineGrained());
+    CommGroup &group = w.group;
     auto a = group.allReduce(0, bytes, Algorithm::ring);
     auto b = group.allReduce(0, bytes, Algorithm::ring);
     group.waitAll();
@@ -151,20 +142,13 @@ TEST(CommContention, DisjointPairsDoNotContend)
     const std::uint64_t bytes = 32 * MiB;
     Tick t_solo = 0;
     {
-        SimObject root(nullptr, "root");
-        auto node = NodeTopology::mi300aQuadNode(&root);
-        EventQueue eq;
-        CommGroup group(node.get(), "comm", node->network(),
-                        node->deviceRanks(), &eq);
-        auto op = group.sendRecv(0, 0, 1, bytes);
-        group.waitAll();
+        CommWorld w(NodeKind::quad);
+        auto op = w.group.sendRecv(0, 0, 1, bytes);
+        w.group.waitAll();
         t_solo = op->finishTick();
     }
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq);
+    CommWorld w(NodeKind::quad);
+    CommGroup &group = w.group;
     auto a = group.sendRecv(0, 0, 1, bytes);
     auto b = group.sendRecv(0, 2, 3, bytes);
     group.waitAll();
@@ -178,12 +162,8 @@ TEST(CommContention, DisjointPairsDoNotContend)
 
 TEST(CommChoose, SizeAndTopologyDriveSelection)
 {
-    SimObject root(nullptr, "root");
-    EventQueue eq;
-
-    auto quad = NodeTopology::mi300aQuadNode(&root);
-    CommGroup on_full(quad.get(), "comm", quad->network(),
-                      quad->deviceRanks(), &eq);
+    CommWorld w(NodeKind::quad);
+    const CommGroup &on_full = w.group;
     EXPECT_TRUE(on_full.fullyConnected());
     // Fully connected: direct wins at every size.
     EXPECT_EQ(on_full.choose(Collective::allReduce, 1 * KiB),
@@ -191,9 +171,10 @@ TEST(CommChoose, SizeAndTopologyDriveSelection)
     EXPECT_EQ(on_full.choose(Collective::allReduce, 256 * MiB),
               Algorithm::direct);
 
+    EventQueue eq;
+    SimObject root(nullptr, "root");
     auto ring = makeRingOnlyQuad(&root);
-    CommGroup on_ring(ring.get(), "comm", ring->network(),
-                      ring->deviceRanks(), &eq);
+    CommGroup &on_ring = *ring->commGroup(&eq);
     EXPECT_FALSE(on_ring.fullyConnected());
     // Sparse: small payloads go direct (latency), large go ring.
     EXPECT_EQ(on_ring.choose(Collective::allReduce, 1 * KiB),
@@ -210,11 +191,8 @@ TEST(CommChoose, SizeAndTopologyDriveSelection)
 
 TEST(CommCollectives, EveryKindCompletesAndCounts)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq);
+    CommWorld w(NodeKind::quad);
+    CommGroup &group = w.group;
 
     const std::uint64_t bytes = 8 * MiB;
     auto ag = group.allGather(0, bytes);
@@ -245,13 +223,9 @@ TEST(CommCollectives, EveryKindCompletesAndCounts)
 
 TEST(CommCollectives, SmallSendRecvPaysLinkLatency)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq);
-    auto op = group.sendRecv(0, 0, 1, 64);
-    group.waitAll();
+    CommWorld w(NodeKind::quad);
+    auto op = w.group.sendRecv(0, 0, 1, 64);
+    w.group.waitAll();
     // One hop on a 30 ns serdes IF link dominates 64 B of
     // serialization.
     EXPECT_GE(op->finishTick(), 30'000u);
@@ -260,11 +234,8 @@ TEST(CommCollectives, SmallSendRecvPaysLinkLatency)
 
 TEST(CommCollectives, ZeroBytesAndBadRanksAreHandled)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq);
+    CommWorld w(NodeKind::quad);
+    CommGroup &group = w.group;
     auto op = group.allReduce(1000, 0);
     EXPECT_TRUE(op->done());
     EXPECT_EQ(op->finishTick(), op->startTick());
@@ -272,15 +243,17 @@ TEST(CommCollectives, ZeroBytesAndBadRanksAreHandled)
                  std::runtime_error);
     EXPECT_THROW(group.sendRecv(0, 0, 9, 1 * MiB),
                  std::runtime_error);
+    // sendRecv needs a rank pair: the generic entry point refuses it.
+    EXPECT_THROW(group.collective(Collective::sendRecv, 0, 1 * MiB),
+                 std::runtime_error);
 }
 
 TEST(CommFaults, RouteCacheFollowsMidSimReroute)
 {
+    EventQueue eq;
     SimObject root(nullptr, "root");
     auto node = makeRingOnlyQuad(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, fineGrained());
+    CommGroup &group = *node->commGroup(&eq, fineGrained());
     const auto ranks = node->deviceRanks();
     // Warm the group's per-pair LinkRoute cache with a collective.
     auto first = group.allReduce(0, 4 * MiB, Algorithm::ring);
@@ -301,6 +274,8 @@ TEST(CommFaults, RouteCacheFollowsMidSimReroute)
 
 TEST(CommGroupCtor, RejectsBadRankSets)
 {
+    // The constructor's own argument checks: rank sets no topology
+    // hands out (empty, duplicated, off the fabric).
     SimObject root(nullptr, "root");
     auto node = NodeTopology::mi300aQuadNode(&root);
     EventQueue eq;
@@ -321,38 +296,49 @@ TEST(CommGroupCtor, RejectsBadRankSets)
 
 TEST(CommTopology, CommGroupFreezesTopology)
 {
+    EventQueue eq;
     SimObject root(nullptr, "root");
     auto node = NodeTopology::mi300aQuadNode(&root);
-    auto *cg = node->commGroup();
+    auto *cg = node->commGroup(&eq);
     ASSERT_NE(cg, nullptr);
     EXPECT_EQ(cg->numRanks(), 4u);
-    EXPECT_EQ(node->commGroup(), cg);
+    // One communicator per topology.
+    EXPECT_THROW(node->commGroup(&eq), std::runtime_error);
     EXPECT_THROW(node->addSocket("late", 8), std::runtime_error);
     EXPECT_THROW(node->connect(0, 1, 1), std::runtime_error);
 }
 
+TEST(CommTopology, WorldGroupFreezesTopology)
+{
+    // The world builds its group through commGroup(), so the freeze
+    // covers it too.
+    CommWorld w(NodeKind::quad);
+    EXPECT_THROW(w.topo->addSocket("late", 8), std::runtime_error);
+    EXPECT_THROW(w.topo->connect(0, 1, 1), std::runtime_error);
+}
+
 TEST(CommTopology, OctoCommGroupExcludesHosts)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300xOctoNode(&root);
-    EXPECT_EQ(node->numEndpoints(), 10u);
-    EXPECT_FALSE(node->isHost(0));
-    EXPECT_TRUE(node->isHost(8));
-    EXPECT_TRUE(node->isHost(9));
-    EXPECT_EQ(node->commGroup()->numRanks(), 8u);
-    EXPECT_TRUE(node->commGroup()->fullyConnected());
+    CommWorld w(NodeKind::octo);
+    EXPECT_EQ(w.topo->numEndpoints(), 10u);
+    EXPECT_FALSE(w.topo->isHost(0));
+    EXPECT_TRUE(w.topo->isHost(8));
+    EXPECT_TRUE(w.topo->isHost(9));
+    EXPECT_EQ(w.group.numRanks(), 8u);
+    EXPECT_TRUE(w.group.fullyConnected());
 }
 
 TEST(CommTopology, AllToAllBackedByCommEngine)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    const Tick done = node->allToAll(0, 16 * MiB);
-    EXPECT_GT(done, 0u);
-    EXPECT_DOUBLE_EQ(node->commGroup()->ops_completed.value(), 1.0);
-    // Repeated exchanges keep advancing the comm clock.
-    const Tick done2 = node->allToAll(0, 16 * MiB);
-    EXPECT_GT(done2, done);
+    CommWorld w(NodeKind::quad);
+    const auto first = w.run(Collective::allToAll, 16 * MiB,
+                             Algorithm::direct);
+    EXPECT_GT(first->finishTick(), 0u);
+    EXPECT_DOUBLE_EQ(w.group.ops_completed.value(), 1.0);
+    // A repeated exchange queues behind the first on the same links.
+    const auto second = w.run(Collective::allToAll, 16 * MiB,
+                              Algorithm::direct);
+    EXPECT_GT(second->finishTick(), first->finishTick());
 }
 
 // ---------------------------------------------------------------------
@@ -421,22 +407,14 @@ runStatAggregationSweep(unsigned jobs)
         runner.addJob(
             "stats/" + std::to_string(j),
             [bytes](json::JsonWriter &jw) {
-                SimObject root(nullptr, "root");
-                auto node = NodeTopology::mi300aQuadNode(&root);
-                EventQueue eq;
-                CommGroup group(node.get(), "comm", node->network(),
-                                node->deviceRanks(), &eq,
-                                fineGrained());
-                group.allReduce(0, bytes, Algorithm::ring);
-                group.waitAll();
-                group.allGather(eq.curTick(), bytes,
-                                Algorithm::direct);
-                group.waitAll();
+                CommWorld w(NodeKind::quad, fineGrained());
+                w.run(Collective::allReduce, bytes, Algorithm::ring);
+                w.run(Collective::allGather, bytes, Algorithm::direct);
                 jw.beginObject();
                 jw.key("comm");
-                group.dumpJsonStats(jw);
+                w.group.dumpJsonStats(jw);
                 jw.key("node");
-                node->dumpJsonStats(jw);
+                w.topo->dumpJsonStats(jw);
                 jw.endObject();
             });
     }
@@ -474,12 +452,8 @@ runRetrySweep(unsigned jobs)
         const std::uint64_t bytes = (8 + 4 * (j % 3)) * MiB;
         runner.addJob(
             "retry/" + std::to_string(j), [j, bytes](json::JsonWriter &jw) {
-                SimObject root(nullptr, "root");
-                auto node = NodeTopology::mi300aQuadNode(&root);
-                EventQueue eq;
-                CommGroup group(node.get(), "comm", node->network(),
-                                node->deviceRanks(), &eq,
-                                fineGrained());
+                CommWorld w(NodeKind::quad, fineGrained());
+                CommGroup &group = w.group;
                 group.setChunkFaultHook(
                     [j](const CommGroup::ChunkAttempt &a) {
                         return counterHashUnit(1000 + j, a.op_id,

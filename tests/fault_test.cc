@@ -53,23 +53,6 @@ fineGrained()
     return p;
 }
 
-/** Fig. 18b octo node with a comm group over its eight sockets. */
-struct OctoComm
-{
-    SimObject root{nullptr, "root"};
-    std::unique_ptr<soc::NodeTopology> node;
-    EventQueue eq;
-    std::unique_ptr<CommGroup> group;
-
-    explicit OctoComm(const CommParams &params = fineGrained())
-        : node(soc::NodeTopology::mi300xOctoNode(&root))
-    {
-        group = std::make_unique<CommGroup>(
-            node.get(), "comm", node->network(), node->deviceRanks(),
-            &eq, params);
-    }
-};
-
 /** Small two-stack HBM config so blackout tests stay fast. */
 mem::HbmSubsystemParams
 smallHbm()
@@ -182,35 +165,30 @@ TEST(CuHarvest, RejectsZeroAndOverPhysical)
 TEST(FaultReroute, OctoLinkKillMidAllReduceDegradesButCompletes)
 {
     const std::uint64_t bytes = 64 * MiB;
-    double base_bw = 0;
-    Tick base_finish = 0;
-    {
-        OctoComm c;
-        auto op = c.group->allReduce(0, bytes, Algorithm::direct);
-        c.group->waitAll();
-        base_bw = op->algoBandwidth();
-        base_finish = op->finishTick();
-    }
+    const auto base =
+        soc::CommWorld(soc::NodeKind::octo, fineGrained())
+            .run(Collective::allReduce, bytes, Algorithm::direct);
+    const double base_bw = base->algoBandwidth();
     ASSERT_GT(base_bw, 0.0);
 
-    OctoComm c;
+    soc::CommWorld c(soc::NodeKind::octo, fineGrained());
     fault::FaultPlan plan;
     plan.seed = 42;
     plan.chunk_error_rate = 0.02;
     plan.link_faults.push_back(
-        {"mi300x0", "mi300x1", base_finish / 4, 0.0});
-    fault::FaultInjector inj(c.node.get(), "inj", plan, &c.eq);
-    inj.attachNetwork(c.node->network());
-    inj.attachCommGroup(c.group.get());
+        {"mi300x0", "mi300x1", base->finishTick() / 4, 0.0});
+    fault::FaultInjector inj(c.topo.get(), "inj", plan, &c.eq);
+    inj.attachNetwork(c.topo->network());
+    inj.attachCommGroup(&c.group);
     inj.arm();
 
-    auto op = c.group->allReduce(0, bytes, Algorithm::direct);
-    c.group->waitAll();
+    const auto op = c.run(Collective::allReduce, bytes,
+                          Algorithm::direct);
     ASSERT_TRUE(op->done());
 
-    fabric::Network *net = c.node->network();
-    const auto r0 = c.node->nodeId(0);
-    const auto r1 = c.node->nodeId(1);
+    fabric::Network *net = c.topo->network();
+    const auto r0 = c.topo->nodeId(0);
+    const auto r1 = c.topo->nodeId(1);
     EXPECT_DOUBLE_EQ(net->links_killed.value(), 1.0);
     EXPECT_FALSE(net->linkAlive(r0, r1));
     EXPECT_TRUE(net->reachable(r0, r1));
@@ -220,9 +198,9 @@ TEST(FaultReroute, OctoLinkKillMidAllReduceDegradesButCompletes)
 
     // Transient chunk errors were retried, never dropped.
     EXPECT_GT(inj.chunk_faults.value(), 0.0);
-    EXPECT_DOUBLE_EQ(c.group->chunk_retries.value(),
+    EXPECT_DOUBLE_EQ(c.group.chunk_retries.value(),
                      inj.chunk_faults.value());
-    EXPECT_GT(c.group->retry_wait_ticks.value(), 0.0);
+    EXPECT_GT(c.group.retry_wait_ticks.value(), 0.0);
 
     // Degraded, not dead: the op finished with measurably lower
     // achieved bandwidth than the healthy node.
@@ -301,14 +279,11 @@ TEST(FaultDerate, HalvedBandwidthDoublesSerialization)
 
 TEST(FaultRetry, BackoffGrowsExponentially)
 {
-    SimObject root(nullptr, "root");
-    auto node = soc::NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
     CommParams p = fineGrained();
     p.retry_timeout = 1000;
     p.backoff_base = 2.0;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, p);
+    soc::CommWorld w(soc::NodeKind::quad, p);
+    const CommGroup &group = w.group;
     EXPECT_EQ(group.backoffTicks(1), 1000u);
     EXPECT_EQ(group.backoffTicks(2), 2000u);
     EXPECT_EQ(group.backoffTicks(4), 8000u);
@@ -320,15 +295,12 @@ TEST(FaultRetry, BackoffSaturatesInsteadOfOverflowing)
     // be cast to Tick unchecked; past 2^63 that double -> unsigned
     // conversion is undefined behavior. Deep retry policies must
     // clamp at maxBackoff and stay monotone.
-    SimObject root(nullptr, "root");
-    auto node = soc::NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
     CommParams p = fineGrained();
     p.retry_timeout = 1'000'000'000;    // 1 ms base
     p.backoff_base = 10.0;
     p.max_retries = 64;                 // 1 ms * 10^63 >> Tick range
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, p);
+    soc::CommWorld w(soc::NodeKind::quad, p);
+    const CommGroup &group = w.group;
     EXPECT_EQ(group.backoffTicks(1), 1'000'000'000u);
     EXPECT_EQ(group.backoffTicks(2), 10'000'000'000u);
     EXPECT_EQ(group.backoffTicks(65), CommGroup::maxBackoff);
@@ -344,30 +316,22 @@ TEST(FaultRetry, BackoffSaturatesInsteadOfOverflowing)
 
 TEST(FaultRetry, RejectsBadRetryParams)
 {
-    SimObject root(nullptr, "root");
-    auto node = soc::NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
     CommParams p = fineGrained();
     p.retry_timeout = 0;
-    EXPECT_THROW(CommGroup(node.get(), "c1", node->network(),
-                           node->deviceRanks(), &eq, p),
+    EXPECT_THROW(soc::CommWorld(soc::NodeKind::quad, p),
                  std::runtime_error);
     p = fineGrained();
     p.backoff_base = 0.5;
-    EXPECT_THROW(CommGroup(node.get(), "c2", node->network(),
-                           node->deviceRanks(), &eq, p),
+    EXPECT_THROW(soc::CommWorld(soc::NodeKind::quad, p),
                  std::runtime_error);
 }
 
 TEST(FaultRetry, FirstAttemptFailuresRetryAndComplete)
 {
-    SimObject root(nullptr, "root");
-    auto node = soc::NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
     CommParams p = fineGrained();
     p.retry_timeout = 5000;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, p);
+    soc::CommWorld w(soc::NodeKind::quad, p);
+    CommGroup &group = w.group;
     // Every chunk fails exactly its first attempt.
     group.setChunkFaultHook([](const CommGroup::ChunkAttempt &a) {
         return a.attempt == 1;
@@ -387,14 +351,11 @@ TEST(FaultRetry, FirstAttemptFailuresRetryAndComplete)
 
 TEST(FaultRetry, ExhaustionFatalsWithNodeNames)
 {
-    SimObject root(nullptr, "root");
-    auto node = soc::NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
     CommParams p = fineGrained();
     p.max_retries = 2;
     p.retry_timeout = 100;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, p);
+    soc::CommWorld w(soc::NodeKind::quad, p);
+    CommGroup &group = w.group;
     group.setChunkFaultHook([](const CommGroup::ChunkAttempt &) {
         return true;    // the link never recovers
     });
@@ -523,26 +484,20 @@ runFaultSweep(unsigned jobs)
                                      algorithmName(algo) + "/" +
                                      std::to_string(rate);
             runner.addJob(name, [algo, rate](json::JsonWriter &jw) {
-                SimObject root(nullptr, "root");
-                auto node = soc::NodeTopology::mi300aQuadNode(&root);
-                EventQueue eq;
-                CommGroup group(node.get(), "comm", node->network(),
-                                node->deviceRanks(), &eq,
-                                fineGrained());
-
+                soc::CommWorld w(soc::NodeKind::quad, fineGrained());
                 fault::FaultPlan plan;
                 plan.seed = 1234;
                 plan.chunk_error_rate = rate;
                 plan.link_faults.push_back(
                     {"mi300a0", "mi300a1", 50'000'000, 0.0});
-                fault::FaultInjector inj(node.get(), "inj", plan,
-                                         &eq);
-                inj.attachNetwork(node->network());
-                inj.attachCommGroup(&group);
+                fault::FaultInjector inj(w.topo.get(), "inj", plan,
+                                         &w.eq);
+                inj.attachNetwork(w.topo->network());
+                inj.attachCommGroup(&w.group);
                 inj.arm();
 
-                auto op = group.allReduce(0, 16 * MiB, algo);
-                group.waitAll();
+                const auto op =
+                    w.run(Collective::allReduce, 16 * MiB, algo);
 
                 jw.beginObject();
                 jw.kv("algorithm", algorithmName(op->algorithm()));
@@ -550,11 +505,12 @@ runFaultSweep(unsigned jobs)
                 jw.kv("finish_ticks",
                       static_cast<double>(op->finishTick()));
                 jw.kv("algbw_gbps", op->algoBandwidth() / 1e9);
-                jw.kv("chunk_retries", group.chunk_retries.value());
+                jw.kv("chunk_retries",
+                      w.group.chunk_retries.value());
                 jw.kv("faults_injected",
                       inj.faults_injected.value());
                 jw.key("net");
-                node->network()->dumpJsonStats(jw);
+                w.topo->network()->dumpJsonStats(jw);
                 jw.endObject();
             });
         }

@@ -47,39 +47,32 @@ struct RunRecord
     Tick final_tick = 0;
 };
 
+/** 1 MiB chunks: many chunk events per collective to interleave. */
+constexpr comm::CommParams kFineGrained{.chunk_bytes = 1 * MiB};
+
+/** @p w's complete observable history after its run. */
+RunRecord
+recordOf(soc::CommWorld &w)
+{
+    RunRecord rec;
+    rec.final_tick = w.eq.curTick();
+    std::ostringstream ss;
+    json::JsonWriter jw(ss);
+    w.root.dumpJsonStats(jw);
+    rec.stats = ss.str();
+    return rec;
+}
+
 /** Ring + direct all-reduce over the Fig. 18b octo node; pdes == 0
  *  runs the serial kernel. */
 RunRecord
 octoAllReduceRun(unsigned pdes)
 {
-    SimObject root(nullptr, "root");
-    auto topo = soc::NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    comm::CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    comm::CommGroup group(topo.get(), "comm", topo->network(),
-                          topo->deviceRanks(), &eq, params);
-
-    std::unique_ptr<pdes::PdesEngine> engine;
-    if (pdes > 0) {
-        engine = std::make_unique<pdes::PdesEngine>(
-            &eq, topo->network(), pdes);
-        group.attachPdes(engine.get());
-    }
-
-    group.allReduce(0, 4 * MiB, comm::Algorithm::ring);
-    group.allReduce(0, 4 * MiB, comm::Algorithm::direct);
-    group.waitAll();
-    if (engine)
-        group.attachPdes(nullptr);
-
-    RunRecord rec;
-    rec.final_tick = eq.curTick();
-    std::ostringstream ss;
-    json::JsonWriter jw(ss);
-    root.dumpJsonStats(jw);
-    rec.stats = ss.str();
-    return rec;
+    soc::CommWorld w(soc::NodeKind::octo, kFineGrained, pdes);
+    w.group.allReduce(0, 4 * MiB, comm::Algorithm::ring);
+    w.group.allReduce(0, 4 * MiB, comm::Algorithm::direct);
+    w.group.waitAll();
+    return recordOf(w);
 }
 
 /**
@@ -91,14 +84,9 @@ octoAllReduceRun(unsigned pdes)
 RunRecord
 faultStormRun(unsigned pdes)
 {
-    SimObject root(nullptr, "root");
-    auto topo = soc::NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    comm::CommParams params;
-    params.chunk_bytes = 1 * MiB;
+    comm::CommParams params = kFineGrained;
     params.retry_timeout = 200'000'000;
-    comm::CommGroup group(topo.get(), "comm", topo->network(),
-                          topo->deviceRanks(), &eq, params);
+    soc::CommWorld w(soc::NodeKind::octo, params, pdes);
 
     fault::FaultPlan plan;
     plan.seed = 7;
@@ -106,36 +94,20 @@ faultStormRun(unsigned pdes)
     plan.link_faults.push_back(
         fault::LinkFault{"mi300x0", "mi300x1", 50'000'000, 0.0});
     plan.validate();
-    fault::FaultInjector injector(topo.get(), "inj", plan, &eq);
-    injector.attachNetwork(topo->network());
-    injector.attachCommGroup(&group);
+    fault::FaultInjector injector(w.topo.get(), "inj", plan, &w.eq);
+    injector.attachNetwork(w.topo->network());
+    injector.attachCommGroup(&w.group);
     injector.arm();
 
-    std::unique_ptr<pdes::PdesEngine> engine;
-    if (pdes > 0) {
-        engine = std::make_unique<pdes::PdesEngine>(
-            &eq, topo->network(), pdes);
-        group.attachPdes(engine.get());
+    w.run(comm::Collective::allReduce, 8 * MiB, comm::Algorithm::ring);
+    w.run(comm::Collective::allReduce, 8 * MiB,
+          comm::Algorithm::direct);
+    // The kill at 50 us landed mid-run: the detoured route must have
+    // collapsed every partition into one merged group.
+    if (w.pdes()) {
+        EXPECT_EQ(w.pdes()->numGroups(), 1u);
     }
-
-    group.allReduce(0, 8 * MiB, comm::Algorithm::ring);
-    group.waitAll();
-    group.allReduce(0, 8 * MiB, comm::Algorithm::direct);
-    group.waitAll();
-    if (engine) {
-        // The kill at 50 us landed mid-run: the detoured route must
-        // have collapsed every partition into one merged group.
-        EXPECT_EQ(engine->numGroups(), 1u);
-        group.attachPdes(nullptr);
-    }
-
-    RunRecord rec;
-    rec.final_tick = eq.curTick();
-    std::ostringstream ss;
-    json::JsonWriter jw(ss);
-    root.dumpJsonStats(jw);
-    rec.stats = ss.str();
-    return rec;
+    return recordOf(w);
 }
 
 /** A fixed-seed TP-2 serving run rendered as its full JSON
@@ -194,22 +166,12 @@ TEST(Pdes, EngineReportsParallelProgress)
     // exercise the parallel path — nonzero lookahead (every rank
     // pair rides a direct IF link), more than one worker group, and
     // at least one parallel window per collective.
-    SimObject root(nullptr, "root");
-    auto topo = soc::NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    comm::CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    comm::CommGroup group(topo.get(), "comm", topo->network(),
-                          topo->deviceRanks(), &eq, params);
-    pdes::PdesEngine engine(&eq, topo->network(), 8);
-    group.attachPdes(&engine);
+    soc::CommWorld w(soc::NodeKind::octo, kFineGrained, 8);
+    w.run(comm::Collective::allReduce, 4 * MiB, comm::Algorithm::ring);
 
-    group.allReduce(0, 4 * MiB, comm::Algorithm::ring);
-    group.waitAll();
-
+    const pdes::PdesEngine &engine = *w.pdes();
     EXPECT_GT(engine.lookahead(), 0);
     EXPECT_GT(engine.numGroups(), 1u);
     EXPECT_GT(engine.windows(), 0u);
     EXPECT_GT(engine.totalProcessed(), 0u);
-    group.attachPdes(nullptr);
 }

@@ -163,86 +163,66 @@ TEST(ServeCheckpoint, CheckpointAfterLastEventStillResumes)
 }
 
 // ---------------------------------------------------------------------
-// Hand-rolled comm world: warmup, fork, run more collectives
+// Comm world: warmup, fork, run more collectives
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-/** One octo-node comm world, built identically every time. */
-struct CommWorld
+/** One ring all-reduce of @p bytes, run to the op boundary. */
+void
+allReduce(soc::CommWorld &w, std::uint64_t bytes)
 {
-    EventQueue eq;
-    SimObject root;
-    std::unique_ptr<soc::NodeTopology> topo;
-    std::unique_ptr<comm::CommGroup> group;
+    w.run(comm::Collective::allReduce, bytes, comm::Algorithm::ring);
+}
 
-    CommWorld()
-        : root(nullptr, "root", &eq)
-    {
-        topo = soc::NodeTopology::mi300xOctoNode(&root);
-        comm::CommParams cp;
-        cp.chunk_bytes = 4 * MiB;
-        group = std::make_unique<comm::CommGroup>(
-            topo.get(), "comm", topo->network(), topo->deviceRanks(),
-            &eq, cp);
-    }
-
-    void
-    allReduce(std::uint64_t bytes)
-    {
-        group->allReduce(0, bytes, comm::Algorithm::ring);
-        group->waitAll();
-    }
-
-    std::string
-    statsJson()
-    {
-        std::ostringstream os;
-        json::JsonWriter jw(os);
-        root.dumpJsonStats(jw);
-        return os.str();
-    }
-};
+std::string
+statsJson(const soc::CommWorld &w)
+{
+    std::ostringstream os;
+    json::JsonWriter jw(os);
+    w.root.dumpJsonStats(jw);
+    return os.str();
+}
 
 } // anonymous namespace
 
 TEST(CommCheckpoint, ForkedCollectivesMatchStraightThrough)
 {
     // Straight-through reference: four all-reduces back to back.
-    CommWorld straight;
-    straight.allReduce(64 * MiB);
-    straight.allReduce(32 * MiB);
-    straight.allReduce(64 * MiB);
-    straight.allReduce(16 * MiB);
+    soc::CommWorld straight(soc::NodeKind::octo);
+    allReduce(straight, 64 * MiB);
+    allReduce(straight, 32 * MiB);
+    allReduce(straight, 64 * MiB);
+    allReduce(straight, 16 * MiB);
 
     // Warmup world: first two, then checkpoint at the op boundary
     // (waitAll already quiesced the queue — comm events are unkeyed,
     // so none can be pending at a legal save point).
-    CommWorld warm;
-    warm.allReduce(64 * MiB);
-    warm.allReduce(32 * MiB);
+    soc::CommWorld warm(soc::NodeKind::octo);
+    allReduce(warm, 64 * MiB);
+    allReduce(warm, 32 * MiB);
     ASSERT_TRUE(warm.eq.allPendingKeyed());
     const std::string blob = saveWorld(warm.eq, warm.root);
 
     // Forked world: restore, then the remaining two.
-    CommWorld forked;
+    soc::CommWorld forked(soc::NodeKind::octo);
     restoreWorld(blob, forked.eq, forked.root);
-    forked.allReduce(64 * MiB);
-    forked.allReduce(16 * MiB);
+    allReduce(forked, 64 * MiB);
+    allReduce(forked, 16 * MiB);
 
-    EXPECT_EQ(straight.statsJson(), forked.statsJson());
+    EXPECT_EQ(statsJson(straight), statsJson(forked));
 }
 
 TEST(CommCheckpoint, SaveWithCollectiveInFlightIsFatal)
 {
-    CommWorld w;
-    w.group->allReduce(0, 64 * MiB, comm::Algorithm::ring);
+    soc::CommWorld w(soc::NodeKind::octo);
+    w.group.allReduce(0, 64 * MiB, comm::Algorithm::ring);
     // Chunk events are pending and unkeyed: both the queue-level
     // gate and the CommGroup's own op-boundary check must refuse.
     ASSERT_FALSE(w.eq.allPendingKeyed());
     EXPECT_THROW(saveWorld(w.eq, w.root), std::runtime_error);
-    w.group->waitAll();
+    w.group.waitAll();
 }
 
 // ---------------------------------------------------------------------

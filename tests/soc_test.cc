@@ -271,9 +271,10 @@ TEST(NodeTopology, OctoMi300xWithHosts)
 
 TEST(NodeTopology, AllToAllCompletes)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    const Tick done = node->allToAll(0, 64 << 20);
+    CommWorld w(NodeKind::quad);
+    const Tick done = w.run(comm::Collective::allToAll, 64 << 20,
+                            comm::Algorithm::direct)
+                          ->finishTick();
     // 64 MB at 128 GB/s is ~0.5 ms plus latency.
     EXPECT_GT(done, ticksFromSeconds(4e-4));
     EXPECT_LT(done, ticksFromSeconds(5e-3));
