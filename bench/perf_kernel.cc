@@ -16,10 +16,6 @@
  *                    scheduleCallback() pool fast path
  *   comm_allreduce   ring + direct all-reduce on the Fig. 18 octo
  *                    MI300X node, driven through CommGroup
- *   comm_allreduce_octo_pdes  the same workload on the conservative
- *                    PDES core (8 partitions, DESIGN.md §15) — the
- *                    deterministic counters must equal the serial
- *                    bench's
  *   fault_storm      all-reduce under a transient chunk-error rate
  *                    plus mid-flight link derates (retry/backoff)
  *   checkpoint_fork  the sweep fast-forward cycle (DESIGN.md §16):
@@ -53,7 +49,6 @@
 #include "fault/fault_plan.hh"
 #include "sim/event_queue.hh"
 #include "sim/json.hh"
-#include "sim/pdes/pdes_engine.hh"
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
 #include "sim/units.hh"
@@ -323,52 +318,6 @@ benchCommAllReduce(const Sizes &sz, unsigned repeat)
 }
 
 /**
- * The comm_allreduce_octo workload on the conservative parallel
- * core: the eight socket domains become eight PDES partitions, each
- * with its own indexed-heap queue, windowed by the octo node's
- * min-link-latency lookahead. The deterministic counters must match
- * the serial bench exactly (same schedule, same ticks, same bytes) —
- * partitions/windows/lookahead are additionally pinned so placement
- * regressions show up as counter diffs, not just wall-time noise.
- */
-BenchResult
-benchCommAllReducePdes(const Sizes &sz, unsigned repeat)
-{
-    BenchResult r;
-    r.name = "comm_allreduce_octo_pdes";
-    double best = -1;
-    std::uint64_t processed = 0, final_tick = 0, link_bytes = 0;
-    std::uint64_t peak_live = 0, windows = 0, lookahead = 0;
-    std::uint64_t partitions = 0;
-    for (unsigned rep = 0; rep < repeat; ++rep) {
-        soc::CommWorld w(soc::NodeKind::octo, kCommParams, 8);
-        WallTimer wt;
-        link_bytes = ringThenDirect(w, sz.comm_iters, sz.comm_bytes);
-        const pdes::PdesEngine &engine = *w.pdes();
-        processed = engine.totalProcessed();
-        final_tick = w.eq.curTick();
-        peak_live = engine.peakLiveTotal();
-        windows = engine.windows();
-        lookahead = engine.lookahead();
-        partitions = engine.partitions();
-        const double s = wt.seconds();
-        if (best < 0 || s < best)
-            best = s;
-    }
-    r.det = {{"events_processed", processed},
-             {"final_tick", final_tick},
-             {"link_bytes", link_bytes},
-             {"peak_live", peak_live},
-             {"partitions", partitions},
-             {"windows", windows},
-             {"lookahead_ticks", lookahead}};
-    r.best_seconds = best;
-    r.events_per_sec = static_cast<double>(processed) / best;
-    r.ops_per_sec = 2 * r.events_per_sec;
-    return r;
-}
-
-/**
  * All-reduce under a 5% transient chunk-error rate plus two x16
  * derates mid-flight: the retry/backoff path reschedules heavily.
  */
@@ -564,7 +513,6 @@ main(int argc, char **argv)
         {"oneshot_storm", benchOneshotStorm},
         {"oneshot_storm_pooled", benchOneshotStormPooled},
         {"comm_allreduce_octo", benchCommAllReduce},
-        {"comm_allreduce_octo_pdes", benchCommAllReducePdes},
         {"fault_storm", benchFaultStorm},
         {"checkpoint_fork", benchCheckpointFork},
     };

@@ -18,22 +18,20 @@
  *               broadcast|all_to_all]
  *              [--algos ring,direct,auto] [--sizes 1M,16M,64M]
  *              [--warmup N] [--warmup-bytes SIZE] [--fork]
- *              [--checkpoint FILE]
- *              [--pdes N] [--jobs N] [--json FILE]
+ *              [--checkpoint FILE] [--jobs N] [--json FILE]
  *
  *   ehpsim_cli fault [--topology quad|octo] [--collective C]
  *              [--algos ring,direct] [--sizes 1M,16M,64M]
  *              [--rates 0,0.005,0.02] [--seed N]
  *              [--kill a:b@tick[*factor]] [--max-retries N]
- *              [--retry-timeout TICKS] [--pdes N] [--jobs N]
- *              [--json FILE]
+ *              [--retry-timeout TICKS] [--jobs N] [--json FILE]
  *
  *   ehpsim_cli serve [--devices mi300x,baseline] [--loads 0.25,1.0]
  *              [--tp 1|2|4|8] [--requests N] [--input-tokens N]
  *              [--output-tokens N] [--seed N] [--bursty]
  *              [--token-budget N] [--max-batch N] [--kv-blocks N]
  *              [--error-rate R] [--kill a:b@tick[*factor]]
- *              [--blackout ch@tick] [--pdes N] [--checkpoint-at T]
+ *              [--blackout ch@tick] [--checkpoint-at T]
  *              [--jobs N] [--json FILE]
  *
  *   ehpsim_cli race [--bytes SIZE] [--requests N] [--seed N]
@@ -65,15 +63,6 @@
  * job reports TTFT/TPOT percentiles, tokens/s, SLO attainment, and
  * the KV eviction/retry counters.
  *
- * The comm, fault, and serve subcommands accept --pdes N to run
- * each job's simulation on the conservative parallel core
- * (DESIGN.md §15): the node graph is partitioned into N logical
- * processes synchronized by min-link-latency lookahead. Output is
- * byte-identical to the serial run — `cmp` the two JSON documents to
- * check — so the knob trades wall time only. sweep REJECTS the flag
- * with an error (its jobs are per-partition roofline/event sims
- * with no cross-partition traffic to overlap; use --jobs instead).
- *
  * Checkpoint/fast-forward (DESIGN.md §16): `comm --warmup N` runs N
  * ring all-reduces before each measured point; adding `--fork`
  * simulates that shared prefix ONCE, snapshots the warmed world,
@@ -89,8 +78,8 @@
  * otherwise) runs the octo all-reduce and a fixed-seed serving
  * scenario under the ehpsim-race AccessTracker and emits the merged
  * ehpsim-race-v1 report: order/partition conflicts with waiver
- * status plus the partition dependency graph and PDES lookahead
- * table (DESIGN.md §14). Exit 1 when any conflict is unwaived. The
+ * status plus the partition dependency graph and lookahead table
+ * (DESIGN.md §14). Exit 1 when any conflict is unwaived. The
  * report is byte-identical for any --jobs value.
  *
  * A malformed flag value (not a number of the flag's type, a size
@@ -178,7 +167,7 @@ usage(const char *argv0)
                  "[--collective C] [--algos a,b,...]\n"
                  "          [--sizes 1M,64M,...] [--warmup N] "
                  "[--warmup-bytes SIZE]\n"
-                 "          [--fork] [--checkpoint FILE] [--pdes N] "
+                 "          [--fork] [--checkpoint FILE] "
                  "[--jobs N] [--json FILE]\n"
                  "       %s fault [--topology quad|octo] "
                  "[--collective C] [--algos a,b,...]\n"
@@ -186,7 +175,7 @@ usage(const char *argv0)
                  "[--seed N]\n"
                  "          [--kill a:b@tick[*factor]] "
                  "[--max-retries N]\n"
-                 "          [--retry-timeout TICKS] [--pdes N] "
+                 "          [--retry-timeout TICKS] "
                  "[--jobs N] [--json FILE]\n"
                  "       %s serve [--devices a,b] [--loads r,s,...] "
                  "[--tp N]\n"
@@ -196,7 +185,7 @@ usage(const char *argv0)
                  "[--max-batch N]\n"
                  "          [--kv-blocks N] [--error-rate R] "
                  "[--kill a:b@tick[*factor]]\n"
-                 "          [--blackout ch@tick] [--pdes N] "
+                 "          [--blackout ch@tick] "
                  "[--checkpoint-at T] [--jobs N] [--json FILE]\n"
                  "       %s race [--bytes SIZE] [--requests N] "
                  "[--seed N]\n"
@@ -486,21 +475,7 @@ sweepMain(int argc, char **argv)
             parseNum(arg, next(), scale);
         else if (arg == "--stats")
             with_stats = true;
-        else if (arg == "--pdes") {
-            // Refused rather than silently ignored (it used to be
-            // accepted for driver symmetry): sweep jobs are
-            // independent single-partition sims with nothing for
-            // the parallel core to overlap, so a user passing the
-            // flag is expecting a speedup they will not get.
-            std::fprintf(stderr,
-                         "sweep: --pdes is not supported: sweep "
-                         "jobs are independent single-partition "
-                         "sims with no cross-partition traffic to "
-                         "parallelize; use --jobs N to run points "
-                         "concurrently (comm, fault, and serve do "
-                         "accept --pdes)\n");
-            return 2;
-        } else
+        else
             usage(argv[0]);
     }
     if (products.empty() || workloads.empty() || jobs == 0)
@@ -626,8 +601,7 @@ commWarmupBlob(const std::string &topology, unsigned warmup,
 }
 
 /**
- * Run one collective microbenchmark point and serialize it. pdes >
- * 0 runs the simulation on that many conservative partitions. When
+ * Run one collective microbenchmark point and serialize it. When
  * @p fork_blob is set the point resumes from the shared warmup
  * checkpoint instead of simulating the warmup itself; either way
  * the JSON below is byte-identical (the CI checkpoint-smoke job
@@ -636,10 +610,10 @@ commWarmupBlob(const std::string &topology, unsigned warmup,
 void
 runCommJob(const std::string &topology, comm::Collective coll,
            comm::Algorithm algo, std::uint64_t bytes,
-           unsigned warmup, std::uint64_t warmup_bytes, unsigned pdes,
+           unsigned warmup, std::uint64_t warmup_bytes,
            const std::string *fork_blob, json::JsonWriter &jw)
 {
-    soc::CommWorld w(nodeKindFor(topology), kMicrobenchParams, pdes);
+    soc::CommWorld w(nodeKindFor(topology), kMicrobenchParams);
     // Straight-through reference path for a warmed sweep: simulate
     // the warmup prefix inline. Forked jobs restore it instead.
     if (fork_blob)
@@ -673,7 +647,6 @@ commMain(int argc, char **argv)
     std::string json_path;
     std::string checkpoint_path;
     unsigned jobs = 1;
-    unsigned pdes = 0;
     unsigned warmup = 0;
     std::uint64_t warmup_bytes = 16 * MiB;
     bool fork = false;
@@ -701,8 +674,6 @@ commMain(int argc, char **argv)
             fork = true;
         else if (arg == "--checkpoint")
             checkpoint_path = next();
-        else if (arg == "--pdes")
-            parseNum(arg, next(), pdes);
         else if (arg == "--jobs")
             parseNum(arg, next(), jobs);
         else if (arg == "--json")
@@ -748,13 +719,12 @@ commMain(int argc, char **argv)
                     [=](const std::string &blob,
                         json::JsonWriter &jw) {
                         runCommJob(topology, coll, algo, bytes,
-                                   warmup, warmup_bytes, pdes, &blob,
-                                   jw);
+                                   warmup, warmup_bytes, &blob, jw);
                     });
             } else {
                 runner.addJob(name, [=](json::JsonWriter &jw) {
                     runCommJob(topology, coll, algo, bytes, warmup,
-                               warmup_bytes, pdes, nullptr, jw);
+                               warmup_bytes, nullptr, jw);
                 });
             }
         }
@@ -771,13 +741,9 @@ void
 runFaultJob(const std::string &topology, comm::Collective coll,
             comm::Algorithm algo, std::uint64_t bytes,
             const fault::FaultPlan &plan, const comm::CommParams &params,
-            unsigned pdes, json::JsonWriter &jw)
+            json::JsonWriter &jw)
 {
-    // Scheduled link kills land on the coordinator queue and bump
-    // the route epoch; under PDES the engine collapses partition
-    // groups at the next window boundary, so the faulted schedule
-    // (and the JSON below) is byte-identical to the serial run's.
-    soc::CommWorld w(nodeKindFor(topology), params, pdes);
+    soc::CommWorld w(nodeKindFor(topology), params);
     fault::FaultInjector injector(w.topo.get(), "inj", plan, &w.eq);
     injector.attachNetwork(w.topo->network());
     injector.attachCommGroup(&w.group);
@@ -818,7 +784,6 @@ faultMain(int argc, char **argv)
     std::uint64_t seed = 1;
     std::string json_path;
     unsigned jobs = 1;
-    unsigned pdes = 0;
     comm::CommParams params;
     params.chunk_bytes = 1 * MiB;
     // See ablation_resilience: a timeout-based retransmit has to
@@ -851,8 +816,6 @@ faultMain(int argc, char **argv)
             parseNum(arg, next(), params.max_retries);
         else if (arg == "--retry-timeout")
             parseNum(arg, next(), params.retry_timeout);
-        else if (arg == "--pdes")
-            parseNum(arg, next(), pdes);
         else if (arg == "--jobs")
             parseNum(arg, next(), jobs);
         else if (arg == "--json")
@@ -880,8 +843,7 @@ faultMain(int argc, char **argv)
                                   algo_name + "/" + size + "/" + rate,
                               [=](json::JsonWriter &jw) {
                                   runFaultJob(topology, coll, algo,
-                                              bytes, plan, params,
-                                              pdes, jw);
+                                              bytes, plan, params, jw);
                               });
             }
         }
@@ -949,8 +911,6 @@ serveMain(int argc, char **argv)
         else if (arg == "--blackout")
             base.faults.channel_faults.push_back(
                 parseChannelFault(next()));
-        else if (arg == "--pdes")
-            parseNum(arg, next(), base.pdes);
         else if (arg == "--checkpoint-at")
             parseNum(arg, next(), base.checkpoint_at);
         else if (arg == "--jobs")
@@ -1169,9 +1129,9 @@ raceMain(int argc, char **argv)
                 jw.rawValue(res.output);
         }
         jw.endArray();
-        // The merged PDES partition-dependency table: every domain
-        // pair that exchanged messages, with the conservative
-        // lookahead (minimum link latency) joining it.
+        // The merged partition-dependency table: every domain pair
+        // that exchanged messages, with the lookahead (minimum link
+        // latency) joining it.
         jw.key("partitions");
         jw.beginObject();
         jw.key("flows");

@@ -4,7 +4,6 @@
 
 #include "sim/access_tracker.hh"
 #include "sim/logging.hh"
-#include "sim/pdes/pdes_engine.hh"
 #include "sim/snapshot.hh"
 
 namespace ehpsim
@@ -126,25 +125,19 @@ CommGroup::CommGroup(SimObject *parent, const std::string &name,
                       net_->nodeName(ranks_[i]), "'");
         }
     }
-    // Resolve every rank pair's route to Link pointers once, up
-    // front, and collect every directed link any pair routes over in
-    // a deterministic first-encounter order. Fully-connected groups
+    // Collect every directed link any rank pair routes over in a
+    // deterministic first-encounter order. Fully-connected groups
     // use exactly one link per ordered pair; multi-hop routes can
-    // only share links, so this is an upper bound. The cached
-    // LinkRoute pointers are what runTask() replays per chunk;
-    // routeFor() re-resolves them if the fabric reroutes.
-    pair_routes_.assign(ranks_.size() * ranks_.size(), nullptr);
-    pair_epochs_.assign(ranks_.size() * ranks_.size(),
-                        net_->routeEpoch());
+    // only share links, so this is an upper bound. Resolving each
+    // pair here also warms the network's route cache that runTask()
+    // replays per chunk.
     links_.reserve(ranks_.size() * (ranks_.size() - 1));
     for (std::size_t i = 0; i < ranks_.size(); ++i) {
         for (std::size_t j = 0; j < ranks_.size(); ++j) {
             if (i == j)
                 continue;
-            const fabric::LinkRoute &r =
-                net_->linkRoute(ranks_[i], ranks_[j]);
-            pair_routes_[i * ranks_.size() + j] = &r;
-            for (fabric::Link *l : r.links) {
+            for (fabric::Link *l :
+                 net_->linkRoute(ranks_[i], ranks_[j]).links) {
                 if (std::find(links_.begin(), links_.end(), l) ==
                     links_.end()) {
                     links_.push_back(l);
@@ -250,7 +243,6 @@ CommGroup::addTask(CollectiveOp &op, unsigned src_rank,
     t.dst = ranks_[dst_rank];
     t.bytes = bytes;
     t.deps = ndeps;
-    t.route_slot = src_rank * numRanks() + dst_rank;
     op.tasks_.push_back(t);
     for (std::uint32_t k = 0; k < ndeps; ++k)
         edge_scratch_.emplace_back(deps[k], idx);
@@ -278,26 +270,6 @@ CommGroup::finalizeDag(CollectiveOp &op)
         op.dag_[src.dep_off + src.dep_cnt++] = to;
     }
     edge_scratch_.clear();
-}
-
-const fabric::LinkRoute &
-CommGroup::routeFor(std::uint32_t slot)
-{
-    // A topology mutation (killLink and friends) destroys the
-    // network's LinkRoute storage, so a cached pointer is stale the
-    // moment the epoch moves — re-resolve on demand, which also
-    // recomputes paths around dead links. Staleness is tracked per
-    // slot (not one group-wide epoch flushing every slot at once):
-    // under PDES each slot belongs to its source rank's worker
-    // group, and a group may only touch its own slots.
-    const std::uint64_t epoch = net_->routeEpoch();
-    const fabric::LinkRoute *&r = pair_routes_[slot];
-    if (!r || pair_epochs_[slot] != epoch) {
-        const unsigned n = numRanks();
-        r = &net_->linkRoute(ranks_[slot / n], ranks_[slot % n]);
-        pair_epochs_[slot] = epoch;
-    }
-    return *r;
 }
 
 void
@@ -541,12 +513,8 @@ CommGroup::start(Tick when, OpHandle op)
     // Retire finished handles here as well as in waitAll(), so
     // event-driven callers that never block (the serving engine)
     // keep outstanding_ bounded by the ops actually in flight.
-    // retired_ rather than done(): under PDES completeOp() runs as
-    // a deferred coordinator event after pending_ hits zero, and an
-    // op isn't finished until its stats are sampled and its
-    // completion callback has fired.
     std::erase_if(outstanding_,
-                  [](const OpHandle &o) { return o->retired_; });
+                  [](const OpHandle &o) { return o->done(); });
     outstanding_.push_back(op);
     for (std::uint32_t i = 0; i < op->tasks_.size(); ++i) {
         if (op->tasks_[i].deps == 0)
@@ -555,88 +523,20 @@ CommGroup::start(Tick when, OpHandle op)
     return op;
 }
 
-EventQueue *
-CommGroup::execQueue(const CollectiveOp::Task &t)
-{
-    if (!engine_)
-        return eventq();
-    return engine_->queueForDomain(net_->nodeDomain(t.src));
-}
-
 void
 CommGroup::scheduleTask(const OpHandle &op, std::uint32_t idx)
 {
     // Pool fast path: the capture (this, OpHandle, idx) fits a
     // recycled slot, so per-chunk scheduling allocates nothing in
-    // steady state. Under PDES the event goes to the partition
-    // queue of the chunk's source domain; callers only reach here
-    // from contexts allowed to touch that queue (the coordinator
-    // with workers parked, the owning group's worker, or a mailbox
-    // drain).
-    execQueue(op->tasks_[idx])
-        ->scheduleCallback(op->tasks_[idx].ready,
-                           [this, op, idx] { runTask(op, idx); });
+    // steady state.
+    eventq()->scheduleCallback(op->tasks_[idx].ready,
+                               [this, op, idx] { runTask(op, idx); });
 }
 
 void
 CommGroup::setChunkFaultHook(ChunkFaultHook hook)
 {
     fault_hook_ = std::move(hook);
-}
-
-void
-CommGroup::setChunkFaultSink(std::function<void(std::uint64_t)> sink)
-{
-    fault_sink_ = std::move(sink);
-}
-
-void
-CommGroup::attachPdes(pdes::PdesEngine *engine)
-{
-    std::erase_if(outstanding_,
-                  [](const OpHandle &o) { return o->retired_; });
-    if (!outstanding_.empty()) {
-        fatal("CommGroup '", name(), "': attachPdes with ",
-              outstanding_.size(), " collectives in flight");
-    }
-    engine_ = engine;
-    shards_.clear();
-    if (!engine_)
-        return;
-    shards_.resize(engine_->partitions());
-    // Declare every ordered rank pair: the engine derives the
-    // lookahead table and the direct-link ownership check from them.
-    for (std::size_t i = 0; i < ranks_.size(); ++i) {
-        for (std::size_t j = 0; j < ranks_.size(); ++j) {
-            if (i != j)
-                engine_->declareTraffic(ranks_[i], ranks_[j]);
-        }
-    }
-    engine_->addFlushHook([this] { flushShards(); });
-}
-
-void
-CommGroup::flushShards()
-{
-    for (PdesShard &s : shards_) {
-        chunk_retries += static_cast<double>(s.chunk_retries);
-        retry_wait_ticks += static_cast<double>(s.retry_wait_ticks);
-        for (const double v : s.retry_samples)
-            retry_latency.sample(v);
-        link_bytes += static_cast<double>(s.link_bytes);
-        if (s.send.messages != 0) {
-            net_->messages += static_cast<double>(s.send.messages);
-            net_->total_hops += static_cast<double>(s.send.hops);
-        }
-        if (fault_sink_ && s.fault_hits != 0)
-            fault_sink_(s.fault_hits);
-        s.chunk_retries = 0;
-        s.retry_wait_ticks = 0;
-        s.link_bytes = 0;
-        s.fault_hits = 0;
-        s.retry_samples.clear();
-        s.send = fabric::Network::SendCounters{};
-    }
 }
 
 Tick
@@ -662,19 +562,10 @@ void
 CommGroup::runTask(const OpHandle &op, std::uint32_t idx)
 {
     CollectiveOp::Task &t = op->tasks_[idx];
-    // The executing queue: the partition queue owning t.src's domain
-    // under PDES, the group's serial queue otherwise. my_dom < 0
-    // means coordinator context (workers parked), where everything
-    // may be touched directly.
-    EventQueue *q = execQueue(t);
-    const int my_dom = engine_ ? net_->nodeDomain(t.src) : -1;
-    PdesShard *shard =
-        engine_ && my_dom >= 0
-            ? &shards_[engine_->partitionOfDomain(my_dom)]
-            : nullptr;
+    const Tick now = eventq()->curTick();
     if (fault_hook_ &&
-        fault_hook_({q->curTick(), t.src, t.dst, t.bytes,
-                     t.attempt + 1, op->id_, idx})) {
+        fault_hook_({now, t.src, t.dst, t.bytes, t.attempt + 1,
+                     op->id_, idx})) {
         ++t.attempt;
         if (t.attempt > params_.max_retries) {
             fatal("CommGroup '", name(), "': chunk ",
@@ -690,31 +581,16 @@ CommGroup::runTask(const OpHandle &op, std::uint32_t idx)
             this,
             ("op" + std::to_string(op->id_) + ".state").c_str());
         const Tick backoff = backoffTicks(t.attempt);
-        if (shard) {
-            ++shard->chunk_retries;
-            shard->retry_wait_ticks += backoff;
-            shard->retry_samples.push_back(
-                static_cast<double>(backoff));
-            if (fault_sink_)
-                ++shard->fault_hits;
-        } else {
-            ++chunk_retries;
-            retry_wait_ticks += static_cast<double>(backoff);
-            retry_latency.sample(static_cast<double>(backoff));
-            if (fault_sink_)
-                fault_sink_(1);
-        }
-        q->scheduleCallback(q->curTick() + backoff,
-                            [this, op, idx] { runTask(op, idx); });
+        ++chunk_retries;
+        retry_wait_ticks += static_cast<double>(backoff);
+        retry_latency.sample(static_cast<double>(backoff));
+        eventq()->scheduleCallback(now + backoff,
+                                   [this, op, idx] { runTask(op, idx); });
         return;
     }
-    // Replay the cached route: no per-chunk route-table walk. Tasks
-    // always join distinct ranks, so this is exactly send() minus
-    // the lookup.
-    const auto res =
-        net_->sendOnRoute(q->curTick(), routeFor(t.route_slot),
-                          t.bytes, false, shard ? &shard->send
-                                                : nullptr);
+    // send() replays the network's cached route for (src, dst),
+    // which a link fault invalidates and re-resolves.
+    const auto res = net_->send(now, t.src, t.dst, t.bytes);
     // Chunk completion mutates shared per-op state (link_bytes_,
     // finish_ max-merge, dependent ready/deps, pending_); same-tick
     // completions of one op are the canonical batch-reorder case.
@@ -722,74 +598,19 @@ CommGroup::runTask(const OpHandle &op, std::uint32_t idx)
         this, ("op" + std::to_string(op->id_) + ".state").c_str());
     const auto moved =
         t.bytes * static_cast<std::uint64_t>(res.hops);
-    op->link_bytes_.fetch_add(moved, std::memory_order_relaxed);
-    if (shard)
-        shard->link_bytes += moved;
-    else
-        link_bytes += static_cast<double>(moved);
-    // Max-merge the finish tick. Relaxed is enough: the final
-    // pending_ decrement below is acq_rel, so the completing
-    // context sees every task's contribution.
-    Tick prev = op->finish_.load(std::memory_order_relaxed);
-    while (prev < res.arrival &&
-           !op->finish_.compare_exchange_weak(
-               prev, res.arrival, std::memory_order_relaxed)) {
-    }
+    op->link_bytes_ += moved;
+    link_bytes += static_cast<double>(moved);
+    op->finish_ = std::max(op->finish_, res.arrival);
 
     const std::uint32_t *dep = op->dag_.data() + t.dep_off;
     for (std::uint32_t k = 0; k < t.dep_cnt; ++k) {
-        const std::uint32_t di = dep[k];
-        // A dependent in this task's own worker group (or any
-        // dependent, when executing on the coordinator with workers
-        // parked) is notified directly: its Task fields and queue
-        // are exclusively ours right now. A cross-group dependent
-        // goes through the mailbox — its arrival is >= one link
-        // latency past this window's bound, so draining at the
-        // boundary never reorders anything.
-        if (!shard ||
-            engine_->sameGroup(my_dom,
-                               net_->nodeDomain(
-                                   op->tasks_[di].src))) {
-            CollectiveOp::Task &dt = op->tasks_[di];
-            dt.ready = std::max(dt.ready, res.arrival);
-            if (--dt.deps == 0)
-                scheduleTask(op, di);
-        } else {
-            const Tick arrival = res.arrival;
-            engine_->postCross(
-                engine_->partitionOfDomain(my_dom),
-                [this, op, di, arrival] {
-                    CollectiveOp::Task &dt = op->tasks_[di];
-                    dt.ready = std::max(dt.ready, arrival);
-                    if (--dt.deps == 0)
-                        scheduleTask(op, di);
-                });
-        }
+        CollectiveOp::Task &dt = op->tasks_[dep[k]];
+        dt.ready = std::max(dt.ready, res.arrival);
+        if (--dt.deps == 0)
+            scheduleTask(op, dep[k]);
     }
-    if (op->pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (!shard) {
-            completeOp(*op);
-        } else {
-            // Retire on the coordinator via the mailbox: completeOp
-            // samples shared stats and may invoke a user callback
-            // that schedules coordinator events (the serving engine
-            // does), neither of which a partition worker may do.
-            // The deferred event is pinned to THIS tick — serially
-            // the op completes inline inside its last chunk event,
-            // so the coordinator's clock after waitAll() must read
-            // the chunk's execution tick, not the (later) arrival
-            // tick. The coordinator cannot have passed this tick:
-            // it only steps while its head is <= every partition
-            // head.
-            const Tick done_at = q->curTick();
-            engine_->postCross(
-                engine_->partitionOfDomain(my_dom),
-                [this, op, done_at] {
-                    engine_->coordinator()->scheduleCallback(
-                        done_at, [this, op] { completeOp(*op); });
-                });
-        }
-    }
+    if (--op->pending_ == 0)
+        completeOp(*op);
 }
 
 void
@@ -798,7 +619,6 @@ CommGroup::completeOp(CollectiveOp &op)
     EHPSIM_TRACK_WRITE(this, "stats.ops");
     const Tick fin = op.finishTick();
     ++ops_completed;
-    op.retired_ = true;
     last_finish_ = std::max(last_finish_, fin);
     if (fin > op.start_)
         algo_bw_gbps.sample(op.algoBandwidth() / 1e9);
@@ -917,32 +737,15 @@ CommGroup::sendRecv(Tick when, unsigned src, unsigned dst,
 Tick
 CommGroup::waitAll()
 {
-    // Wait for retirement (completeOp ran), not just pending_ == 0:
-    // under PDES the two are separated by a deferred coordinator
-    // event, and waitAll() must not return before stats are sampled
-    // and completion callbacks have fired.
-    const auto retired = [](const OpHandle &op) {
-        return op->retired_;
-    };
-    std::erase_if(outstanding_, retired);
-    if (engine_) {
-        // Drive the parallel core only until this group's ops have
-        // retired — exactly as far as the serial loop below steps
-        // the queue. Events past that point (a later fault arm, the
-        // next op's work) stay pending, as they would serially.
-        engine_->runUntil([this, &retired] {
-            std::erase_if(outstanding_, retired);
-            return outstanding_.empty();
-        });
-        return last_finish_;
-    }
+    const auto done = [](const OpHandle &op) { return op->done(); };
+    std::erase_if(outstanding_, done);
     while (!outstanding_.empty()) {
         if (!eventq()->step()) {
             panic("CommGroup '", name(), "': event queue drained "
                   "with ", outstanding_.size(),
                   " collectives pending");
         }
-        std::erase_if(outstanding_, retired);
+        std::erase_if(outstanding_, done);
     }
     return last_finish_;
 }
@@ -950,9 +753,8 @@ CommGroup::waitAll()
 void
 CommGroup::snapshot(SnapshotWriter &w) const
 {
-    if (!outstanding_.empty() &&
-        std::any_of(outstanding_.begin(), outstanding_.end(),
-                    [](const OpHandle &o) { return !o->retired_; })) {
+    if (std::any_of(outstanding_.begin(), outstanding_.end(),
+                    [](const OpHandle &o) { return !o->done(); })) {
         fatal("CommGroup '", name(), "': checkpoint with a "
               "collective in flight — quiesce to an op boundary "
               "first");
@@ -967,13 +769,6 @@ CommGroup::restore(SnapshotReader &r)
     StatGroup::restore(r);
     last_finish_ = r.getU64();
     outstanding_.clear();
-    // Network::restore() rebuilt the route tables and destroyed the
-    // LinkRoute objects the per-pair cache aliased; drop every slot
-    // so routeFor() re-resolves lazily (no stat side effects — the
-    // network prewarmed its saved-valid sources).
-    pair_routes_.assign(ranks_.size() * ranks_.size(), nullptr);
-    pair_epochs_.assign(ranks_.size() * ranks_.size(),
-                        net_->routeEpoch());
 }
 
 double

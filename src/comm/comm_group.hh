@@ -34,7 +34,6 @@
 #ifndef EHPSIM_COMM_COMM_GROUP_HH
 #define EHPSIM_COMM_COMM_GROUP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -48,11 +47,6 @@
 
 namespace ehpsim
 {
-namespace pdes
-{
-class PdesEngine;
-} // namespace pdes
-
 namespace comm
 {
 
@@ -117,27 +111,14 @@ class CollectiveOp
     std::uint64_t dataBytes() const { return data_bytes_; }
 
     /** Bytes x hops actually placed on fabric links. */
-    std::uint64_t
-    linkBytes() const
-    {
-        return link_bytes_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t linkBytes() const { return link_bytes_; }
 
-    bool
-    done() const
-    {
-        return started_ &&
-               pending_.load(std::memory_order_relaxed) == 0;
-    }
+    bool done() const { return started_ && pending_ == 0; }
 
     Tick startTick() const { return start_; }
 
     /** Completion tick; valid once done(). */
-    Tick
-    finishTick() const
-    {
-        return finish_.load(std::memory_order_relaxed);
-    }
+    Tick finishTick() const { return finish_; }
 
     double
     seconds() const
@@ -176,30 +157,17 @@ class CollectiveOp
         Tick ready = 0;
         std::uint32_t dep_off = 0;  ///< first dependent, index into dag_
         std::uint32_t dep_cnt = 0;  ///< number of dependents in dag_
-        std::uint32_t route_slot = 0; ///< src_rank * numRanks + dst_rank
     };
 
     Collective kind_ = Collective::allReduce;
     Algorithm algo_ = Algorithm::direct;
     unsigned id_ = 0;
     std::uint64_t data_bytes_ = 0;
-    /**
-     * link_bytes_/finish_/pending_ are atomics because under PDES
-     * tasks of one op execute concurrently on several partition
-     * workers. All updates are commutative (add, max, countdown), so
-     * relaxed ordering suffices; the final pending_ decrement is
-     * acq_rel, which makes every earlier task's writes visible to
-     * whoever observes the op complete.
-     */
-    std::atomic<std::uint64_t> link_bytes_{0};
+    std::uint64_t link_bytes_ = 0;
     bool started_ = false;
     Tick start_ = 0;
-    std::atomic<Tick> finish_{0};
-    std::atomic<std::size_t> pending_{0};
-    /** Set by completeOp(): the op has fully retired (stats sampled,
-     *  on_complete fired) — under PDES this lags pending_ == 0 by a
-     *  deferred coordinator event. */
-    bool retired_ = false;
+    Tick finish_ = 0;
+    std::size_t pending_ = 0;
     std::function<void(Tick)> on_complete_;
     std::vector<Task> tasks_;
     /**
@@ -273,7 +241,7 @@ class CommGroup : public SimObject
      * names the attempt — op ids are assigned in start order and
      * task indices in DAG construction order — so a stateless
      * counter-based fault model draws the same verdict for the same
-     * attempt no matter which thread, queue, or window executes it.
+     * attempt whatever the event order.
      */
     struct ChunkAttempt
     {
@@ -290,21 +258,11 @@ class CommGroup : public SimObject
      * Transient-fault model for chunk transfers. Called once per
      * attempt; returning true fails the attempt, which is retried
      * with exponential backoff per CommParams. nullptr (the default)
-     * means transfers are reliable. Under PDES the hook runs on
-     * partition workers concurrently: it must be pure in the
-     * ChunkAttempt fields (no mutable state) — do accounting in the
-     * fault sink instead.
+     * means transfers are reliable.
      */
     using ChunkFaultHook = std::function<bool(const ChunkAttempt &)>;
 
     void setChunkFaultHook(ChunkFaultHook hook);
-
-    /**
-     * Accounting sink for hook-failed attempts: invoked with a count
-     * of newly failed attempts, always on the main thread (inline in
-     * serial mode; batched per partition at PDES stat flush).
-     */
-    void setChunkFaultSink(std::function<void(std::uint64_t)> sink);
 
     /**
      * Backoff delay before retry number @p attempt (1-based),
@@ -317,18 +275,6 @@ class CommGroup : public SimObject
      *  horizon, yet small enough that curTick() + backoff and summed
      *  retry-wait stats stay overflow-free. */
     static constexpr Tick maxBackoff = maxTick / 4;
-
-    /**
-     * Run this group's collectives on a conservative parallel core
-     * (DESIGN.md §15) instead of the serial queue. Must be called
-     * while no op is outstanding and before further ops start; the
-     * group declares every ordered rank pair as traffic (feeding the
-     * engine's lookahead table), shards its hot-path stats per
-     * partition, and routes chunk events to the engine's partition
-     * queues by each chunk's source domain. Pass nullptr to detach
-     * (events return to the serial queue).
-     */
-    void attachPdes(pdes::PdesEngine *engine);
 
     /**
      * Drive the event queue until every outstanding collective of
@@ -365,10 +311,7 @@ class CommGroup : public SimObject
      * an op boundary — the EventQueue save refuses unkeyed pending
      * events, and every chunk/retry event is unkeyed, so a legal
      * checkpoint implies no collective in flight. That leaves the
-     * stats (base walk) plus last_finish_. restore() additionally
-     * drops the per-pair route cache: Network::restore() destroyed
-     * the LinkRoute storage those pointers aliased, and routeFor()
-     * lazily re-resolves against the restored route tables.
+     * stats (base walk) plus last_finish_.
      */
     void snapshot(SnapshotWriter &w) const override;
     void restore(SnapshotReader &r) override;
@@ -426,26 +369,6 @@ class CommGroup : public SimObject
      */
     void finalizeDag(CollectiveOp &op);
 
-    /**
-     * The cached link-resolved route for @p slot
-     * (src_rank * numRanks + dst_rank), revalidated per slot against
-     * the network's routeEpoch() so fault-driven rerouting
-     * invalidates it exactly when the node-path cache is
-     * invalidated. Per-slot epochs (rather than one group-wide
-     * epoch dropping the whole cache) keep revalidation local to
-     * the slot's owning PDES worker group.
-     */
-    const fabric::LinkRoute &routeFor(std::uint32_t slot);
-
-    /** Queue the chunk events of task @p t execute on: the engine's
-     *  queue for t.src's partition domain under PDES, else the
-     *  group's serial queue. */
-    EventQueue *execQueue(const CollectiveOp::Task &t);
-
-    /** Merge per-partition stat shards into the shared Scalars, in
-     *  partition order (PDES flush hook; workers parked). */
-    void flushShards();
-
     void buildRing(CollectiveOp &op, std::uint64_t bytes,
                    unsigned root);
     void buildDirect(CollectiveOp &op, std::uint64_t bytes,
@@ -465,46 +388,12 @@ class CommGroup : public SimObject
 
     stats::Scalar &bytesCounter(Collective c);
 
-    /**
-     * Per-partition shard of the hot-path statistics. Under PDES,
-     * chunk events on different partition workers cannot touch the
-     * shared Scalars; each worker accumulates into its own shard
-     * (single writer), and flushShards() folds them back in
-     * partition order with all workers parked. The merged totals are
-     * order-independent — sums of integer-valued doubles and
-     * bucketed Distribution samples — so JSON output is byte-equal
-     * to the serial run's.
-     */
-    struct PdesShard
-    {
-        std::uint64_t chunk_retries = 0;
-        std::uint64_t retry_wait_ticks = 0;
-        std::uint64_t link_bytes = 0;
-        std::uint64_t fault_hits = 0;
-        std::vector<double> retry_samples;
-        fabric::Network::SendCounters send;
-    };
-
     fabric::Network *net_;
     std::vector<fabric::NodeId> ranks_;
     CommParams params_;
     ChunkFaultHook fault_hook_;
-    std::function<void(std::uint64_t)> fault_sink_;
-    pdes::PdesEngine *engine_ = nullptr;
-    std::vector<PdesShard> shards_;
     /** Every directed link some rank pair routes over. */
     std::vector<fabric::Link *> links_;
-    /**
-     * Per rank-pair LinkRoute cache, slot = src_rank * N + dst_rank.
-     * Entries point into the network's own route cache; a slot is
-     * re-resolved lazily when its epoch trails routeEpoch() (a link
-     * fault or topology change) — the per-chunk hot path
-     * dereferences one pointer instead of re-walking the route
-     * table per hop. Each slot is touched only by its source rank's
-     * owning worker group, so no locking is needed under PDES.
-     */
-    std::vector<const fabric::LinkRoute *> pair_routes_;
-    std::vector<std::uint64_t> pair_epochs_;
     /** @{ construction scratch, reused across ops so steady-state
      *  collective construction never allocates per chunk */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edge_scratch_;

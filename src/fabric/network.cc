@@ -22,8 +22,7 @@ Network::Network(SimObject *parent, const std::string &name)
       reroutes(this, "reroutes",
                "route-table recomputes forced by link faults",
                [this] {
-                   return static_cast<double>(route_recomputes_.load(
-                       std::memory_order_relaxed));
+                   return static_cast<double>(route_recomputes_);
                })
 {
 }
@@ -50,14 +49,6 @@ Network::setNodeDomain(NodeId id, int domain)
     node_domains_[id] = domain;
 }
 
-int
-Network::nodeDomain(NodeId id) const
-{
-    if (id >= numNodes())
-        fatal("bad node id ", id);
-    return node_domains_[id];
-}
-
 void
 Network::connect(NodeId a, NodeId b, const LinkParams &params)
 {
@@ -72,8 +63,8 @@ Network::connect(NodeId a, NodeId b, const LinkParams &params)
     links_[key_ba] = std::make_unique<Link>(
         this, nodeName(b) + "_to_" + nodeName(a), params);
     // Each directed link belongs to its source node's partition;
-    // a cross-partition link feeds the PDES lookahead table with
-    // its propagation latency (the conservative sync horizon).
+    // a cross-partition link feeds the race detector's lookahead
+    // table with its propagation latency.
     links_[key_ab]->setRaceDomain(node_domains_[a]);
     links_[key_ba]->setRaceDomain(node_domains_[b]);
     EHPSIM_RACE_PARTITION_LINK(node_domains_[a], node_domains_[b],
@@ -184,7 +175,7 @@ void
 Network::computeRoutesFrom(NodeId src) const
 {
     if (faulted_)
-        route_recomputes_.fetch_add(1, std::memory_order_relaxed);
+        ++route_recomputes_;
     const std::size_t n = numNodes();
     std::vector<NodeId> prev(n, src);
     std::vector<int> dist(n, -1);
@@ -279,8 +270,7 @@ Network::send(Tick when, NodeId src, NodeId dst, std::uint64_t bytes,
 
 MessageResult
 Network::sendOnRoute(Tick when, const LinkRoute &route,
-                     std::uint64_t bytes, bool high_priority,
-                     SendCounters *counters)
+                     std::uint64_t bytes, bool high_priority)
 {
     // Sends consult the route tables killLink() mutates, and feed
     // the partition dependency graph when the route crosses
@@ -296,13 +286,8 @@ Network::sendOnRoute(Tick when, const LinkRoute &route,
                          l->params().energy_pj_per_byte;
         ++res.hops;
     }
-    if (counters) {
-        ++counters->messages;
-        counters->hops += res.hops;
-    } else {
-        ++messages;
-        total_hops += res.hops;
-    }
+    ++messages;
+    total_hops += res.hops;
     res.arrival = t;
     return res;
 }
@@ -313,7 +298,7 @@ Network::snapshot(SnapshotWriter &w) const
     StatGroup::snapshot(w);
     w.putBool(faulted_);
     w.putU64(route_epoch_);
-    w.putU64(route_recomputes_.load(std::memory_order_relaxed));
+    w.putU64(route_recomputes_);
     std::uint64_t valid = 0;
     for (std::size_t src = 0; src < routes_valid_.size(); ++src) {
         if (routes_valid_[src])
@@ -357,7 +342,7 @@ Network::restore(SnapshotReader &r)
     }
     faulted_ = faulted;
     route_epoch_ = epoch;
-    route_recomputes_.store(recomputes, std::memory_order_relaxed);
+    route_recomputes_ = recomputes;
 }
 
 double

@@ -15,7 +15,6 @@
 #ifndef EHPSIM_FABRIC_NETWORK_HH
 #define EHPSIM_FABRIC_NETWORK_HH
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -87,15 +86,13 @@ class Network : public SimObject
     NodeKind nodeKind(NodeId id) const { return node_kinds_[id]; }
 
     /**
-     * Declare the partition domain (socket / IOD id — the
-     * prospective PDES logical process) of node @p id. Declare
-     * domains before connect(): links and the race lookahead table
-     * pick them up as connections are made. -1 clears.
+     * Declare the partition domain (socket / IOD id) of node
+     * @p id, which the race detector (DESIGN.md §14) attributes
+     * accesses to. Declare domains before connect(): links and the
+     * race lookahead table pick them up as connections are made.
+     * -1 clears.
      */
     void setNodeDomain(NodeId id, int domain);
-
-    /** Partition domain of @p id; -1 when undeclared. */
-    int nodeDomain(NodeId id) const;
 
     /** The unidirectional link from @p a to @p b (fatal if absent). */
     Link *link(NodeId a, NodeId b);
@@ -158,32 +155,14 @@ class Network : public SimObject
                        bool high_priority = false);
 
     /**
-     * Plain tallies mirroring the Network-level messages/total_hops
-     * Scalars. A PDES worker passes one per partition shard to
-     * sendOnRoute() so concurrent partitions never touch the shared
-     * stat objects; shards are merged back into the Scalars at a
-     * synchronization barrier (comm::CommGroup::attachPdes).
-     */
-    struct SendCounters
-    {
-        std::uint64_t messages = 0;
-        std::uint64_t hops = 0;
-    };
-
-    /**
      * Send @p bytes over an already-resolved route: identical
      * timing, energy, and stats to send(), minus the route lookup.
      * @p route must come from linkRoute() at the current
      * routeEpoch(); a stale reference is a use-after-invalidate.
-     * When @p counters is non-null the network-level message/hop
-     * tallies go there instead of the messages/total_hops Scalars
-     * (per-link stats are still updated; under PDES each link is
-     * owned by exactly one worker group).
      */
     MessageResult sendOnRoute(Tick when, const LinkRoute &route,
                               std::uint64_t bytes,
-                              bool high_priority = false,
-                              SendCounters *counters = nullptr);
+                              bool high_priority = false);
 
     /** Sum of transfer energy over all links, joules. */
     double totalEnergyJoules() const;
@@ -223,13 +202,8 @@ class Network : public SimObject
     std::vector<std::vector<NodeId>> adjacency_;
 
     /**
-     * Route cache: routes_[src][dst] = node path. All three caches
-     * (routes_, routes_valid_, link_routes_) fill lazily per
-     * SOURCE, which is what makes them safe under PDES: a source's
-     * slots are only ever touched by the worker group owning its
-     * partition domain. routes_valid_ is vector<char>, not
-     * vector<bool> — the packed-bit specialization would let two
-     * groups' flags share a word.
+     * Route cache: routes_[src][dst] = node path, filled lazily per
+     * source (routes_valid_[src]).
      */
     mutable std::vector<std::vector<std::vector<NodeId>>> routes_;
     mutable std::vector<char> routes_valid_;
@@ -239,10 +213,8 @@ class Network : public SimObject
     mutable std::vector<std::vector<LinkRoute>> link_routes_;
     std::uint64_t route_epoch_ = 0;
 
-    /** Per-source route recomputes forced by link faults. Atomic
-     *  (relaxed): concurrent PDES workers recompute for distinct
-     *  sources, and a sum is order-independent. */
-    mutable std::atomic<std::uint64_t> route_recomputes_{0};
+    /** Per-source route recomputes forced by link faults. */
+    mutable std::uint64_t route_recomputes_ = 0;
     bool faulted_ = false;
 };
 

@@ -61,21 +61,18 @@ FaultInjector::attachCommGroup(comm::CommGroup *group)
     comm_ = group;
     // Stateless counter-based draw: the verdict is a pure hash of
     // (plan seed, op id, task index, attempt), so the failure
-    // history is a property of the schedule, not of execution
-    // order — the same attempt fails identically whether the run is
-    // serial or partitioned across PDES workers. Accounting goes
-    // through the sink, which the group invokes on the main thread.
+    // history is a property of the schedule, not of event order.
     const double rate = plan_.chunk_error_rate;
     const std::uint64_t seed = plan_.seed;
     comm_->setChunkFaultHook(
-        [rate, seed](const comm::CommGroup::ChunkAttempt &a) {
-            return counterHashUnit(seed, a.op_id, a.task_index,
-                                   a.attempt) < rate;
+        [this, rate, seed](const comm::CommGroup::ChunkAttempt &a) {
+            if (counterHashUnit(seed, a.op_id, a.task_index,
+                                a.attempt) >= rate)
+                return false;
+            ++chunk_faults;
+            ++faults_injected;
+            return true;
         });
-    comm_->setChunkFaultSink([this](std::uint64_t n) {
-        chunk_faults += static_cast<double>(n);
-        faults_injected += static_cast<double>(n);
-    });
 }
 
 void

@@ -8,8 +8,7 @@
  * HBM channel blackout) become EventQueue lambdas; transient chunk
  * errors become a CommGroup fault hook drawing a counter-based hash
  * of (plan seed, op id, task index, attempt), so the whole failure
- * history replays byte-for-byte from one seed — on the serial core
- * and on any PDES partitioning alike.
+ * history replays byte-for-byte from one seed.
  */
 
 #ifndef EHPSIM_FAULT_FAULT_INJECTOR_HH

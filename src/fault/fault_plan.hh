@@ -53,8 +53,8 @@ struct ChannelFault
 struct FaultPlan
 {
     /** Seeds the transient-error draw: a counter-based hash of
-     *  (seed, op, task, attempt), identical under serial and PDES
-     *  execution (sim/rng.hh counterHashUnit). */
+     *  (seed, op, task, attempt), independent of event order
+     *  (sim/rng.hh counterHashUnit). */
     std::uint64_t seed = 1;
 
     /** Probability each chunk transfer attempt fails in transit. */

@@ -7,7 +7,6 @@
 #include "fault/fault_injector.hh"
 #include "serve/serving_engine.hh"
 #include "sim/logging.hh"
-#include "sim/pdes/pdes_engine.hh"
 #include "soc/node_topology.hh"
 
 namespace ehpsim
@@ -112,29 +111,6 @@ struct ScenarioWorld
             injector->attachCommGroup(group.get());
         injector->attachHbm(hbm.get());
     }
-
-    /** Drain the queue, honoring the PDES knob. */
-    void
-    runToCompletion(unsigned pdes_parts)
-    {
-        if (pdes_parts > 0) {
-            // The conservative parallel core: the serving engine
-            // stays on the coordinator queue; the TP all-reduce
-            // chunks (when any) fan out over the partition queues.
-            // run() drains everything, exactly like eq.run(), and
-            // the output is byte-identical to the serial run's.
-            pdes::PdesEngine pe(&eq,
-                                topo ? topo->network() : nullptr,
-                                pdes_parts);
-            if (group)
-                group->attachPdes(&pe);
-            pe.run();
-            if (group)
-                group->attachPdes(nullptr);
-        } else {
-            eq.run();
-        }
-    }
 };
 
 ScenarioResult
@@ -202,9 +178,6 @@ checkpointServingScenario(const ScenarioParams &p)
     w.injector->arm();
     w.engine->start();
 
-    // The warmup prefix always runs serially — the snapshot must be
-    // taken from a quiesced coordinator queue, and the prefix is run
-    // exactly once however the resumed halves are parallelized.
     w.eq.run(p.checkpoint_at);
     // A legal save needs every pending event keyed; comm chunk and
     // retry events are not, so stepping until they drain also means
@@ -223,7 +196,7 @@ resumeServingScenario(const ScenarioParams &p,
     // No arm(), no start(): the injector's pending timed faults and
     // the engine's wake/finish events replay from the blob.
     restoreWorld(blob, w.eq, w.root);
-    w.runToCompletion(p.pdes);
+    w.eq.run();
     return summarize(p, w);
 }
 
@@ -238,7 +211,7 @@ runServingScenario(const ScenarioParams &p)
     ScenarioWorld w(p, cfg);
     w.injector->arm();
     w.engine->start();
-    w.runToCompletion(p.pdes);
+    w.eq.run();
     return summarize(p, w);
 }
 

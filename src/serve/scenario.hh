@@ -53,21 +53,11 @@ struct ScenarioParams
     std::uint64_t kv_blocks_override = 0;
 
     /**
-     * Run the simulation on the conservative parallel core with
-     * this many partitions (0 = the serial queue, the default).
-     * Output is byte-identical either way — the knob trades wall
-     * time only, and is deliberately NOT serialized by
-     * dumpScenario() so serial and PDES documents can be cmp'd.
-     */
-    unsigned pdes = 0;
-
-    /**
      * Checkpoint/fast-forward rehearsal (DESIGN.md §16): when > 0,
-     * run serially to this tick, quiesce, snapshot the world, and
-     * finish the run on a freshly built world restored from that
-     * snapshot (honoring the pdes knob). Output is byte-identical
-     * to a straight-through run; like pdes, the knob trades wall
-     * time only and is deliberately NOT serialized by
+     * run to this tick, quiesce, snapshot the world, and finish
+     * the run on a freshly built world restored from that snapshot.
+     * Output is byte-identical to a straight-through run; the knob
+     * trades wall time only and is deliberately NOT serialized by
      * dumpScenario() so the two documents can be cmp'd.
      */
     Tick checkpoint_at = 0;
@@ -129,7 +119,7 @@ std::string checkpointServingScenario(const ScenarioParams &p);
 
 /**
  * Restore @p blob into a freshly built world for @p p and run it to
- * completion (honoring p.pdes). @p p must describe the same scenario
+ * completion. @p p must describe the same scenario
  * the blob was saved from — a mismatched topology or trace is fatal
  * during restore. Fatal on a corrupt or truncated blob.
  */

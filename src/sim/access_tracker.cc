@@ -91,7 +91,7 @@ AccessTracker::record(const SimObject *obj, const char *cell,
 
     // Cross-partition detection: the first domain-bearing object an
     // event touches fixes the event's domain; touching a second
-    // domain in the same dispatch is a PDES blocker.
+    // domain in the same dispatch is a parallel-execution blocker.
     const int dom = obj ? obj->raceDomain() : -1;
     if (dom >= 0) {
         if (cur_domain_ < 0) {

@@ -3,14 +3,14 @@
  * ehpsim-race: the dynamic half of the determinism race detector.
  *
  * The event kernel guarantees a total order over (tick, priority,
- * seq), but batched dispatch (DESIGN.md §11) and the planned PDES
- * core (ROADMAP) are only *allowed* to exploit that order if no two
+ * seq), but batched dispatch (DESIGN.md §11) or any parallel
+ * execution is only *allowed* to exploit that order if no two
  * events at the same (tick, priority) touch the same state — seq is
  * an implementation tiebreak, not a scheduling contract. The
  * AccessTracker checks exactly that property at runtime:
  *
  *  - every SimObject may declare a partition domain (the socket /
- *    IOD id that would become a PDES logical process);
+ *    IOD id that would become a parallel logical process);
  *  - instrumented state mutations pass through EHPSIM_TRACK_READ /
  *    EHPSIM_TRACK_WRITE, which attribute the access to the event
  *    the EventQueue is currently dispatching;
@@ -18,14 +18,14 @@
  *    same (tick, priority), at least one a write, are an order
  *    hazard: reordering the batch would change simulation results;
  *  - an event that touches objects in two different domains within
- *    one dispatch is a cross-partition access: a PDES blocker,
- *    because the domains could not run on separate logical
- *    processes without a synchronized channel.
+ *    one dispatch is a cross-partition access: a blocker for
+ *    parallel execution, because the domains could not run on
+ *    separate logical processes without a synchronized channel.
  *
- * The tracker also collects the partition dependency data PDES
- * needs: which domain pairs exchange messages (flows) and the
- * minimum link latency joining each pair — the conservative
- * lookahead table.
+ * The tracker also collects the partition dependency data a
+ * parallel core would need: which domain pairs exchange messages
+ * (flows) and the minimum link latency joining each pair — the
+ * conservative lookahead table.
  *
  * Reports are emitted as the byte-deterministic `ehpsim-race-v1`
  * JSON object (all aggregation is in sorted std::map keyed by

@@ -376,22 +376,6 @@ class EventQueue
     /** Run a single event; @return false if the queue was empty. */
     bool step();
 
-    /**
-     * Report the (tick, priority) of the earliest pending event
-     * without dispatching it; @return false when the queue is empty.
-     * Only meaningful between dispatches (the PDES merge loop drives
-     * the queue with step(), which never leaves a batch in flight).
-     */
-    bool
-    peekHead(Tick &when, int &priority) const
-    {
-        if (heap_.empty())
-            return false;
-        when = heap_.front().when;
-        priority = heap_.front().priority;
-        return true;
-    }
-
     /** Total events processed over the queue's lifetime. */
     std::uint64_t numProcessed() const { return num_processed_; }
 

@@ -49,9 +49,9 @@ class Rng
  * Stateless counter-based uniform draw in [0, 1): hashes
  * (seed, a, b, c) through splitmix64-style mixing. Unlike a
  * stateful Rng, the result depends only on the arguments, never on
- * draw order — so concurrent PDES partitions evaluating the same
- * (op, task, attempt) tuple get the same answer as the serial
- * kernel regardless of execution interleaving.
+ * draw order — so the same (op, task, attempt) tuple gets the same
+ * answer however events interleave, and a checkpointed run needs
+ * no generator state to replay it.
  */
 double counterHashUnit(std::uint64_t seed, std::uint64_t a,
                        std::uint64_t b, std::uint64_t c);

@@ -53,8 +53,8 @@ class SimObject : public stats::StatGroup
     Tick curTick() const { return eventq_ ? eventq_->curTick() : 0; }
 
     /**
-     * Declare which partition (socket / IOD id — the prospective
-     * PDES logical process) owns this object's state. Children
+     * Declare which partition (socket / IOD id) owns this object's
+     * state. Children
      * inherit their nearest ancestor's domain; -1 (the default)
      * means "unpartitioned". Read by the ehpsim-race AccessTracker
      * to classify cross-partition accesses.

@@ -8,8 +8,7 @@
  * prefix once and fork N knob points from the in-memory blob
  * instead of re-simulating the prefix per point. The contract the
  * whole layer serves: checkpoint -> restore -> run produces JSON
- * byte-identical to the straight-through run, serially and under
- * --pdes N.
+ * byte-identical to the straight-through run.
  *
  * Format (version 1): an 8-byte magic ("EHPSNAP1"), a little-endian
  * u32 format version, then a flat stream of tagged values. Every

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/pdes/pdes_engine.hh"
 
 namespace ehpsim
 {
@@ -23,9 +22,9 @@ NodeTopology::addEndpoint(const std::string &name, unsigned links,
     checkMutable("addSocket/addHost");
     names_.push_back(name);
     nodes_.push_back(net_->addNode(name, fabric::NodeKind::device));
-    // Every endpoint (socket or host) is its own partition domain:
-    // the prospective PDES logical process. Declared before any
-    // connect() so cross-domain links feed the lookahead table.
+    // Every endpoint (socket or host) is its own partition domain
+    // for the race detector. Declared before any connect() so
+    // cross-domain links feed the lookahead table.
     net_->setNodeDomain(nodes_.back(),
                         static_cast<int>(names_.size() - 1));
     total_links_.push_back(links);
@@ -226,22 +225,14 @@ NodeTopology::mi300xOctoNode(SimObject *parent)
     return node;
 }
 
-CommWorld::CommWorld(NodeKind kind, const comm::CommParams &params,
-                     unsigned pdes_partitions)
+CommWorld::CommWorld(NodeKind kind, const comm::CommParams &params)
     : root(nullptr, "root"),
       topo(kind == NodeKind::quad
                ? NodeTopology::mi300aQuadNode(&root)
                : NodeTopology::mi300xOctoNode(&root)),
       group(*topo->commGroup(&eq, params))
 {
-    if (pdes_partitions > 0) {
-        engine_ = std::make_unique<pdes::PdesEngine>(
-            &eq, topo->network(), pdes_partitions);
-        group.attachPdes(engine_.get());
-    }
 }
-
-CommWorld::~CommWorld() = default;
 
 comm::OpHandle
 CommWorld::run(comm::Collective coll, std::uint64_t bytes,

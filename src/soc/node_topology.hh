@@ -13,8 +13,8 @@
  *    link per socket back to an EPYC host.
  *
  * CommWorld packages one of those nodes with its event queue and
- * the communicator over its devices: the world every collective,
- * fault and PDES experiment runs on.
+ * the communicator over its devices: the world every collective
+ * and fault experiment runs on.
  */
 
 #ifndef EHPSIM_SOC_NODE_TOPOLOGY_HH
@@ -71,15 +71,6 @@ class NodeTopology : public SimObject
     {
         return static_cast<unsigned>(names_.size());
     }
-
-    /**
-     * Partition domains this topology declares on its fabric —
-     * every endpoint (socket or host) is its own domain, so this is
-     * the natural upper bound on useful PDES partitions
-     * (pdes::PdesEngine folds domains onto partitions modulo the
-     * partition count).
-     */
-    unsigned numDomains() const { return numEndpoints(); }
 
     fabric::Network *network() { return net_.get(); }
 
@@ -153,27 +144,16 @@ enum class NodeKind
 /**
  * An all-device comm world: an event queue, a root, one Fig. 18
  * node and the communicator over every device socket. Built in one
- * fixed order (queue, root, topology, group, then the optional PDES
- * engine), so restoreWorld() of a blob saved from one world into a
- * freshly built world of the same kind and params resumes it
- * exactly (DESIGN.md §16).
+ * fixed order (queue, root, topology, group), so restoreWorld() of
+ * a blob saved from one world into a freshly built world of the same
+ * kind and params resumes it exactly (DESIGN.md §16).
  */
 class CommWorld
 {
   public:
-    /**
-     * @param pdes_partitions Run the group's collectives on that
-     *        many conservative partitions (DESIGN.md §15); 0 keeps
-     *        them on the serial queue. The engine stays attached
-     *        for the world's lifetime, and every waitAll() folds
-     *        its per-partition stat shards back into the group.
-     */
     explicit CommWorld(NodeKind kind,
                        const comm::CommParams &params =
-                           comm::CommParams{},
-                       unsigned pdes_partitions = 0);
-
-    ~CommWorld();
+                           comm::CommParams{});
 
     CommWorld(const CommWorld &) = delete;
     CommWorld &operator=(const CommWorld &) = delete;
@@ -183,15 +163,9 @@ class CommWorld
     std::unique_ptr<NodeTopology> topo;
     comm::CommGroup &group;
 
-    /** The parallel core, or nullptr on the serial queue. */
-    pdes::PdesEngine *pdes() { return engine_.get(); }
-
     /** Start @p coll at the current tick and drive it to completion. */
     comm::OpHandle run(comm::Collective coll, std::uint64_t bytes,
                        comm::Algorithm algo);
-
-  private:
-    std::unique_ptr<pdes::PdesEngine> engine_;
 };
 
 } // namespace soc

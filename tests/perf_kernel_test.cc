@@ -75,8 +75,7 @@ TEST(PerfKernel, QuickJsonHasSchemaAndBenchmarks)
     EXPECT_NE(doc.find("\"quick\": true"), std::string::npos);
     for (const char *name :
          {"schedule_churn", "oneshot_storm", "oneshot_storm_pooled",
-          "comm_allreduce_octo", "comm_allreduce_octo_pdes",
-          "fault_storm", "checkpoint_fork"}) {
+          "comm_allreduce_octo", "fault_storm", "checkpoint_fork"}) {
         EXPECT_NE(doc.find(std::string("\"name\": \"") + name + "\""),
                   std::string::npos)
             << "missing benchmark " << name;
@@ -120,8 +119,8 @@ TEST(PerfKernel, FabricBenchCountersMatchGoldens)
         // fault_storm, quick: seeded fault plan over the quad node.
         // (Re-pinned when the transient-fault draw moved from a
         // sequential Rng stream to the counter-based hash of
-        // (seed, op, task, attempt) — the schedule-keyed model that
-        // is identical under serial and PDES execution.)
+        // (seed, op, task, attempt) — a schedule-keyed model that is
+        // independent of event order.)
         {"events_processed", "237"},
         {"final_tick", "1186732000"},
         {"chunk_retries", "11"},

@@ -5,7 +5,7 @@
  * The load-bearing invariant: checkpoint -> restore -> run produces
  * JSON byte-identical to the straight-through run — for the serving
  * scenario (which transitively exercises the fabric, CommGroup, HBM,
- * and fault injector), serially and under PDES. Corrupt, truncated,
+ * and fault injector). Corrupt, truncated,
  * and mismatched blobs must fail loudly (fatal(), which throws), and
  * pooled keyed events must survive a save/restore/destroy cycle
  * without leaking (the ASan job runs this file).
@@ -110,21 +110,6 @@ TEST(ServeCheckpoint, ByteIdenticalSerial)
     // The faults must actually have fired (otherwise this test
     // proves nothing about replaying pending keyed fault events).
     EXPECT_GT(base.channels_dark, 0u);
-    EXPECT_EQ(scenarioJson(straight, base), scenarioJson(straight, forked));
-}
-
-TEST(ServeCheckpoint, ByteIdenticalPdes)
-{
-    serve::ScenarioParams p = faultedTp4Params();
-    const auto probe = serve::runServingScenario(p);
-    placeInRun(p, probe.makespan_s);
-
-    serve::ScenarioParams straight = p;
-    straight.checkpoint_at = 0;
-    const auto base = serve::runServingScenario(straight);
-
-    p.pdes = 8;
-    const auto forked = serve::runServingScenario(p);
     EXPECT_EQ(scenarioJson(straight, base), scenarioJson(straight, forked));
 }
 
