@@ -58,8 +58,13 @@ LinkParams pcieLinkParams();
 class Link : public SimObject
 {
   public:
+    /** @param store Where the bulk channel keeps its window loads
+     *  (DESIGN.md §12): runs for node-fabric links, whose requests
+     *  span many windows; dense for the rest. */
     Link(SimObject *parent, const std::string &name,
-         const LinkParams &params);
+         const LinkParams &params,
+         mem::OccupancyTracker::Store store =
+             mem::OccupancyTracker::Store::dense);
 
     const LinkParams &params() const { return params_; }
 

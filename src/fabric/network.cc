@@ -50,7 +50,8 @@ Network::setNodeDomain(NodeId id, int domain)
 }
 
 void
-Network::connect(NodeId a, NodeId b, const LinkParams &params)
+Network::connect(NodeId a, NodeId b, const LinkParams &params,
+                 mem::OccupancyTracker::Store store)
 {
     if (a >= numNodes() || b >= numNodes() || a == b)
         fatal("bad fabric connection ", a, " <-> ", b);
@@ -59,9 +60,9 @@ Network::connect(NodeId a, NodeId b, const LinkParams &params)
     if (links_.count(key_ab))
         fatal("duplicate link ", nodeName(a), " -> ", nodeName(b));
     links_[key_ab] = std::make_unique<Link>(
-        this, nodeName(a) + "_to_" + nodeName(b), params);
+        this, nodeName(a) + "_to_" + nodeName(b), params, store);
     links_[key_ba] = std::make_unique<Link>(
-        this, nodeName(b) + "_to_" + nodeName(a), params);
+        this, nodeName(b) + "_to_" + nodeName(a), params, store);
     // Each directed link belongs to its source node's partition;
     // a cross-partition link feeds the race detector's lookahead
     // table with its propagation latency.

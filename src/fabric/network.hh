@@ -74,8 +74,11 @@ class Network : public SimObject
     /** Add a node; names must be unique. */
     NodeId addNode(const std::string &name, NodeKind kind);
 
-    /** Connect two nodes with a pair of opposing links. */
-    void connect(NodeId a, NodeId b, const LinkParams &params);
+    /** Connect two nodes with a pair of opposing links whose
+     *  occupancy lives in @p store (see Link). */
+    void connect(NodeId a, NodeId b, const LinkParams &params,
+                 mem::OccupancyTracker::Store store =
+                     mem::OccupancyTracker::Store::dense);
 
     std::size_t numNodes() const { return node_names_.size(); }
 

@@ -86,7 +86,11 @@ NodeTopology::connect(unsigned a, unsigned b, unsigned num_x16,
     const double per_dir =
         std::min(link_gbps_[a], link_gbps_[b]) * num_x16;
     p.bandwidth = gbps(per_dir);
-    net_->connect(nodes_[a], nodes_[b], p);
+    // Device-to-device and host links carry multi-window chunks, so
+    // their occupancy is kept as runs of equal windows (DESIGN.md
+    // §12); links inside a package stay dense.
+    net_->connect(nodes_[a], nodes_[b], p,
+                  mem::OccupancyTracker::Store::runs);
     connections_.push_back(SocketLink{a, b, num_x16, pcie});
 }
 
