@@ -18,6 +18,10 @@
  *                    MI300X node, driven through CommGroup
  *   fault_storm      all-reduce under a transient chunk-error rate
  *                    plus mid-flight link derates (retry/backoff)
+ *   link_occupancy   the occupancy layer alone, in the two shapes the
+ *                    simulator produces: 1 MiB chunks on a node x16
+ *                    link (run store) and 288 B stripes arriving out
+ *                    of order on a package link (dense store)
  *   checkpoint_fork  the sweep fast-forward cycle (DESIGN.md §16):
  *                    warm one world with ring all-reduces, save it,
  *                    then fork eight sweep points by restoring the
@@ -45,6 +49,7 @@
 #include <vector>
 
 #include "comm/comm_group.hh"
+#include "fabric/link.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
 #include "sim/event_queue.hh"
@@ -84,14 +89,18 @@ struct Sizes
     std::uint64_t comm_bytes;
     unsigned comm_iters;
     std::uint64_t fault_bytes;
+    // link_occupancy
+    std::uint64_t link_chunks;
+    std::uint64_t link_stripes;
 };
 
 Sizes
 sizesFor(bool quick)
 {
     if (quick)
-        return {2'000, 20, 64, 1'000, 16 * MiB, 1, 16 * MiB};
-    return {20'000, 100, 256, 5'000, 64 * MiB, 4, 64 * MiB};
+        return {2'000, 20, 64, 1'000, 16 * MiB, 1, 16 * MiB, 512, 200'000};
+    return {20'000, 100,      256,   5'000,    64 * MiB,
+            4,      64 * MiB, 8'192, 2'000'000};
 }
 
 /** The comm benches' communicator: 1 MiB pipelining chunks. */
@@ -372,6 +381,63 @@ benchFaultStorm(const Sizes &sz, unsigned repeat)
 }
 
 /**
+ * Link occupancy without the comm layer above it. A node x16 link
+ * takes 1 MiB chunks about one serialization time apart, each
+ * jittered up to half of one either way, so chunks queue and
+ * backfill; a package link takes 288 B stripes, each arriving up to
+ * 50 ns behind the stream's front.
+ */
+BenchResult
+benchLinkOccupancy(const Sizes &sz, unsigned repeat)
+{
+    BenchResult r;
+    r.name = "link_occupancy";
+    constexpr Tick kChunkGap = 16'000'000;     // ~1 MiB at 64 GB/s
+    constexpr Tick kStripeGap = 144;           // 288 B at 2 TB/s
+    double best = -1;
+    std::uint64_t chunk_last = 0, chunk_sum = 0;
+    std::uint64_t stripe_last = 0, stripe_sum = 0;
+    for (unsigned rep = 0; rep < repeat; ++rep) {
+        SimObject root(nullptr, "root");
+        fabric::Link node(&root, "x16", fabric::serdesIfLinkParams(),
+                          mem::OccupancyTracker::Store::runs);
+        fabric::Link pkg(&root, "iod", fabric::onDieLinkParams());
+        Rng rng(20240624);
+        chunk_last = chunk_sum = stripe_last = stripe_sum = 0;
+        WallTimer wt;
+        for (std::uint64_t i = 0; i < sz.link_chunks; ++i) {
+            const Tick when = (i + 1) * kChunkGap -
+                              kChunkGap / 2 + rng.nextBounded(kChunkGap);
+            const Tick t = node.transfer(when, 1 * MiB);
+            chunk_last = std::max(chunk_last, t);
+            chunk_sum += t;
+        }
+        for (std::uint64_t i = 0; i < sz.link_stripes; ++i) {
+            const Tick front = i * kStripeGap;
+            const Tick back = rng.nextBounded(50'000);
+            const Tick t =
+                pkg.transfer(front > back ? front - back : 0, 288);
+            stripe_last = std::max(stripe_last, t);
+            stripe_sum += t;
+        }
+        const double s = wt.seconds();
+        if (best < 0 || s < best)
+            best = s;
+    }
+    r.det = {{"chunks", sz.link_chunks},
+             {"chunk_last_arrival", chunk_last},
+             {"chunk_arrival_sum", chunk_sum},
+             {"stripes", sz.link_stripes},
+             {"stripe_last_arrival", stripe_last},
+             {"stripe_arrival_sum", stripe_sum}};
+    r.best_seconds = best;
+    r.events_per_sec =
+        static_cast<double>(sz.link_chunks + sz.link_stripes) / best;
+    r.ops_per_sec = r.events_per_sec;
+    return r;
+}
+
+/**
  * The sweep fast-forward cycle (DESIGN.md §16): simulate a shared
  * warmup prefix of ring all-reduces once, saveWorld() the quiesced
  * world, then fork eight sweep points — each restores the blob into
@@ -514,6 +580,7 @@ main(int argc, char **argv)
         {"oneshot_storm_pooled", benchOneshotStormPooled},
         {"comm_allreduce_octo", benchCommAllReduce},
         {"fault_storm", benchFaultStorm},
+        {"link_occupancy", benchLinkOccupancy},
         {"checkpoint_fork", benchCheckpointFork},
     };
     std::vector<BenchResult> results;
