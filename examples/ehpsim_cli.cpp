@@ -77,10 +77,9 @@
  * The race subcommand (requires a -DEHPSIM_RACE=ON build; exits 2
  * otherwise) runs the octo all-reduce and a fixed-seed serving
  * scenario under the ehpsim-race AccessTracker and emits the merged
- * ehpsim-race-v1 report: order/partition conflicts with waiver
- * status plus the partition dependency graph and lookahead table
- * (DESIGN.md §14). Exit 1 when any conflict is unwaived. The
- * report is byte-identical for any --jobs value.
+ * ehpsim-race-v2 report: same-(tick, priority) order conflicts with
+ * waiver status (DESIGN.md §14). Exit 1 when any conflict is
+ * unwaived. The report is byte-identical for any --jobs value.
  *
  * A malformed flag value (not a number of the flag's type, a size
  * past 2^64, an unknown name, a bad fault spec) prints one line and
@@ -954,8 +953,6 @@ serveMain(int argc, char **argv)
  */
 struct RaceJobData
 {
-    std::map<std::pair<int, int>, Tick> lookahead;
-    std::map<std::pair<int, int>, std::uint64_t> flows;
     std::uint64_t conflicts = 0;
     std::uint64_t waived = 0;
     std::uint64_t unwaived = 0;
@@ -964,7 +961,7 @@ struct RaceJobData
 };
 
 /** Serialize one scenario's result: its name plus the full
- *  ehpsim-race-v1 tracker report. */
+ *  ehpsim-race-v2 tracker report. */
 void
 dumpRaceScenario(json::JsonWriter &jw, const std::string &name,
                  const race::AccessTracker &t)
@@ -979,8 +976,6 @@ dumpRaceScenario(json::JsonWriter &jw, const std::string &name,
 void
 extractRaceData(const race::AccessTracker &t, RaceJobData &out)
 {
-    out.lookahead = t.lookahead();
-    out.flows = t.flows();
     out.conflicts = t.conflictCount();
     out.waived = t.waivedCount();
     out.unwaived = t.unwaivedCount();
@@ -1099,20 +1094,13 @@ raceMain(int argc, char **argv)
         total.unwaived += d.unwaived;
         total.events += d.events;
         total.accesses += d.accesses;
-        for (const auto &[pair, latency] : d.lookahead) {
-            auto [it, inserted] = total.lookahead.emplace(pair, latency);
-            if (!inserted)
-                it->second = std::min(it->second, latency);
-        }
-        for (const auto &[pair, count] : d.flows)
-            total.flows[pair] += count;
     }
 
     std::ostringstream doc;
     {
         json::JsonWriter jw(doc);
         jw.beginObject();
-        jw.kv("schema", "ehpsim-race-v1");
+        jw.kv("schema", "ehpsim-race-v2");
         jw.key("summary");
         jw.beginObject();
         jw.kv("scenarios", std::uint64_t(results.size()));
@@ -1129,32 +1117,6 @@ raceMain(int argc, char **argv)
                 jw.rawValue(res.output);
         }
         jw.endArray();
-        // The merged partition-dependency table: every domain pair
-        // that exchanged messages, with the lookahead (minimum link
-        // latency) joining it.
-        jw.key("partitions");
-        jw.beginObject();
-        jw.key("flows");
-        jw.beginArray();
-        for (const auto &[pair, count] : total.flows) {
-            jw.beginObject();
-            jw.kv("src", pair.first);
-            jw.kv("dst", pair.second);
-            jw.kv("count", count);
-            jw.endObject();
-        }
-        jw.endArray();
-        jw.key("lookahead");
-        jw.beginArray();
-        for (const auto &[pair, latency] : total.lookahead) {
-            jw.beginObject();
-            jw.kv("a", pair.first);
-            jw.kv("b", pair.second);
-            jw.kv("min_link_latency", latency);
-            jw.endObject();
-        }
-        jw.endArray();
-        jw.endObject();
         jw.endObject();
     }
     doc << "\n";

@@ -35,18 +35,9 @@ Network::addNode(const std::string &name, NodeKind kind)
         fatal("duplicate fabric node name '", name, "'");
     node_names_.push_back(name);
     node_kinds_.push_back(kind);
-    node_domains_.push_back(-1);
     adjacency_.emplace_back();
     invalidateRoutes();
     return id;
-}
-
-void
-Network::setNodeDomain(NodeId id, int domain)
-{
-    if (id >= numNodes())
-        fatal("bad node id ", id);
-    node_domains_[id] = domain;
 }
 
 void
@@ -63,13 +54,6 @@ Network::connect(NodeId a, NodeId b, const LinkParams &params,
         this, nodeName(a) + "_to_" + nodeName(b), params, store);
     links_[key_ba] = std::make_unique<Link>(
         this, nodeName(b) + "_to_" + nodeName(a), params, store);
-    // Each directed link belongs to its source node's partition;
-    // a cross-partition link feeds the race detector's lookahead
-    // table with its propagation latency.
-    links_[key_ab]->setRaceDomain(node_domains_[a]);
-    links_[key_ba]->setRaceDomain(node_domains_[b]);
-    EHPSIM_RACE_PARTITION_LINK(node_domains_[a], node_domains_[b],
-                               params.latency);
     adjacency_[a].push_back(b);
     adjacency_[b].push_back(a);
     invalidateRoutes();
@@ -241,8 +225,6 @@ Network::linkRoute(NodeId src, NodeId dst) const
                 links_.find(std::make_pair(p[i], p[i + 1]));
             r.links.push_back(it->second.get());
         }
-        r.src_domain = node_domains_[src];
-        r.dst_domain = node_domains_[dst];
     }
     return r;
 }
@@ -273,12 +255,9 @@ MessageResult
 Network::sendOnRoute(Tick when, const LinkRoute &route,
                      std::uint64_t bytes, bool high_priority)
 {
-    // Sends consult the route tables killLink() mutates, and feed
-    // the partition dependency graph when the route crosses
-    // domains.
+    // Sends consult the route tables killLink() mutates.
     EHPSIM_TRACK_READ(this, "topology");
     EHPSIM_TRACK_WRITE(this, "stats.messages");
-    EHPSIM_RACE_PARTITION_FLOW(route.src_domain, route.dst_domain);
     MessageResult res;
     Tick t = when;
     for (Link *l : route.links) {

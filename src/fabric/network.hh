@@ -59,11 +59,6 @@ struct MessageResult
 struct LinkRoute
 {
     std::vector<Link *> links;
-    /** Partition domains of the route's endpoints (-1 when the
-     *  node declares none); lets sendOnRoute() record the
-     *  cross-partition flow without a per-send node lookup. */
-    int src_domain = -1;
-    int dst_domain = -1;
 };
 
 class Network : public SimObject
@@ -87,15 +82,6 @@ class Network : public SimObject
     const std::string &nodeName(NodeId id) const;
 
     NodeKind nodeKind(NodeId id) const { return node_kinds_[id]; }
-
-    /**
-     * Declare the partition domain (socket / IOD id) of node
-     * @p id, which the race detector (DESIGN.md §14) attributes
-     * accesses to. Declare domains before connect(): links and the
-     * race lookahead table pick them up as connections are made.
-     * -1 clears.
-     */
-    void setNodeDomain(NodeId id, int domain);
 
     /** The unidirectional link from @p a to @p b (fatal if absent). */
     Link *link(NodeId a, NodeId b);
@@ -199,7 +185,6 @@ class Network : public SimObject
 
     std::vector<std::string> node_names_;
     std::vector<NodeKind> node_kinds_;
-    std::vector<int> node_domains_;
     std::map<std::string, NodeId> id_by_name_;
     std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Link>> links_;
     std::vector<std::vector<NodeId>> adjacency_;

@@ -1,6 +1,7 @@
 #include "sim/access_tracker.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/json.hh"
 #include "sim/sim_object.hh"
@@ -64,7 +65,6 @@ AccessTracker::beginEvent(Tick when, int priority, std::uint64_t seq)
     cur_tick_ = when;
     cur_priority_ = priority;
     cur_seq_ = seq;
-    cur_domain_ = -1;
     ++events_;
 }
 
@@ -89,27 +89,10 @@ AccessTracker::record(const SimObject *obj, const char *cell,
         obj ? obj->statPath() + "." + cell : std::string(cell);
     const std::string site = siteOf(file, line);
 
-    // Cross-partition detection: the first domain-bearing object an
-    // event touches fixes the event's domain; touching a second
-    // domain in the same dispatch is a parallel-execution blocker.
-    const int dom = obj ? obj->raceDomain() : -1;
-    if (dom >= 0) {
-        if (cur_domain_ < 0) {
-            cur_domain_ = dom;
-        } else if (dom != cur_domain_) {
-            recordPartitionFlow(cur_domain_, dom);
-            noteConflict("partition", path,
-                         "domain " + std::to_string(cur_domain_) +
-                             "->" + std::to_string(dom),
-                         site);
-        }
-    }
-
     auto &window = window_[path];
     for (const Access &prev : window) {
         if (prev.seq != cur_seq_ && (prev.write || is_write)) {
-            noteConflict("order", path,
-                         prev.site + (prev.write ? "[w]" : "[r]"),
+            noteConflict(path, prev.site + (prev.write ? "[w]" : "[r]"),
                          site + (is_write ? "[w]" : "[r]"));
         }
     }
@@ -130,26 +113,6 @@ AccessTracker::record(const SimObject *obj, const char *cell,
 }
 
 void
-AccessTracker::recordPartitionLink(int a, int b, Tick latency)
-{
-    if (a < 0 || b < 0 || a == b)
-        return;
-    const auto key = std::minmax(a, b);
-    auto [it, inserted] =
-        lookahead_.emplace(std::pair<int, int>(key), latency);
-    if (!inserted)
-        it->second = std::min(it->second, latency);
-}
-
-void
-AccessTracker::recordPartitionFlow(int src, int dst)
-{
-    if (src < 0 || dst < 0 || src == dst)
-        return;
-    ++flows_[{src, dst}];
-}
-
-void
 AccessTracker::waive(std::string pattern, std::string rationale)
 {
     waivers_[std::move(pattern)] =
@@ -157,18 +120,16 @@ AccessTracker::waive(std::string pattern, std::string rationale)
 }
 
 void
-AccessTracker::noteConflict(const std::string &kind,
-                            const std::string &cell, std::string a,
+AccessTracker::noteConflict(const std::string &cell, std::string a,
                             std::string b)
 {
     // An order hazard between two sites is symmetric — which event
     // the batch happened to dispatch first carries no information —
     // so canonicalize the endpoint order to deduplicate the pair.
-    // (Partition findings keep their fixed (transition, site) slots.)
-    if (kind == "order" && b < a)
+    if (b < a)
         std::swap(a, b);
     auto [it, inserted] = conflicts_.try_emplace(
-        ConflictKey{kind, cell, std::move(a), std::move(b)});
+        ConflictKey{cell, std::move(a), std::move(b)});
     if (inserted)
         it->second.first_tick = cur_tick_;
     ++it->second.count;
@@ -189,7 +150,7 @@ AccessTracker::unwaivedCount() const
 {
     std::size_t n = 0;
     for (const auto &[key, info] : conflicts_) {
-        if (!waiverFor(std::get<1>(key)))
+        if (!waiverFor(std::get<0>(key)))
             ++n;
     }
     return n;
@@ -202,7 +163,7 @@ AccessTracker::dumpJson(json::JsonWriter &jw) const
         waiver.uses = 0;
 
     jw.beginObject();
-    jw.kv("schema", "ehpsim-race-v1");
+    jw.kv("schema", "ehpsim-race-v2");
 
     jw.key("summary");
     jw.beginObject();
@@ -217,12 +178,14 @@ AccessTracker::dumpJson(json::JsonWriter &jw) const
     jw.key("conflicts");
     jw.beginArray();
     for (const auto &[key, info] : conflicts_) {
-        const auto &[kind, cell, a, b] = key;
+        const auto &[cell, a, b] = key;
         const Waiver *w = waiverFor(cell);
         if (w)
             ++w->uses;
         jw.beginObject();
-        jw.kv("kind", kind);
+        // The only kind the tracker finds; kept so reports stay
+        // self-describing.
+        jw.kv("kind", "order");
         jw.kv("cell", cell);
         jw.kv("a", a);
         jw.kv("b", b);
@@ -245,30 +208,6 @@ AccessTracker::dumpJson(json::JsonWriter &jw) const
         jw.endObject();
     }
     jw.endArray();
-
-    jw.key("partitions");
-    jw.beginObject();
-    jw.key("flows");
-    jw.beginArray();
-    for (const auto &[pair, count] : flows_) {
-        jw.beginObject();
-        jw.kv("src", pair.first);
-        jw.kv("dst", pair.second);
-        jw.kv("count", count);
-        jw.endObject();
-    }
-    jw.endArray();
-    jw.key("lookahead");
-    jw.beginArray();
-    for (const auto &[pair, latency] : lookahead_) {
-        jw.beginObject();
-        jw.kv("a", pair.first);
-        jw.kv("b", pair.second);
-        jw.kv("min_link_latency", latency);
-        jw.endObject();
-    }
-    jw.endArray();
-    jw.endObject();
 
     jw.endObject();
 }
@@ -311,20 +250,6 @@ trackWrite(const SimObject *obj, const char *cell, const char *file,
 {
     if (AccessTracker *t = tl_current)
         t->record(obj, cell, true, file, line);
-}
-
-void
-notePartitionLink(int a, int b, Tick latency)
-{
-    if (AccessTracker *t = tl_current)
-        t->recordPartitionLink(a, b, latency);
-}
-
-void
-notePartitionFlow(int src, int dst)
-{
-    if (AccessTracker *t = tl_current)
-        t->recordPartitionFlow(src, dst);
 }
 
 void

@@ -3,31 +3,20 @@
  * ehpsim-race: the dynamic half of the determinism race detector.
  *
  * The event kernel guarantees a total order over (tick, priority,
- * seq), but batched dispatch (DESIGN.md §11) or any parallel
- * execution is only *allowed* to exploit that order if no two
- * events at the same (tick, priority) touch the same state — seq is
- * an implementation tiebreak, not a scheduling contract. The
- * AccessTracker checks exactly that property at runtime:
+ * seq), but batched dispatch (DESIGN.md §11) is only *allowed* to
+ * exploit that order if no two events at the same (tick, priority)
+ * touch the same state — seq is an implementation tiebreak, not a
+ * scheduling contract. The AccessTracker checks exactly that
+ * property at runtime:
  *
- *  - every SimObject may declare a partition domain (the socket /
- *    IOD id that would become a parallel logical process);
  *  - instrumented state mutations pass through EHPSIM_TRACK_READ /
  *    EHPSIM_TRACK_WRITE, which attribute the access to the event
  *    the EventQueue is currently dispatching;
  *  - two accesses to the same cell from *different* events at the
  *    same (tick, priority), at least one a write, are an order
- *    hazard: reordering the batch would change simulation results;
- *  - an event that touches objects in two different domains within
- *    one dispatch is a cross-partition access: a blocker for
- *    parallel execution, because the domains could not run on
- *    separate logical processes without a synchronized channel.
+ *    hazard: reordering the batch would change simulation results.
  *
- * The tracker also collects the partition dependency data a
- * parallel core would need: which domain pairs exchange messages
- * (flows) and the minimum link latency joining each pair — the
- * conservative lookahead table.
- *
- * Reports are emitted as the byte-deterministic `ehpsim-race-v1`
+ * Reports are emitted as the byte-deterministic `ehpsim-race-v2`
  * JSON object (all aggregation is in sorted std::map keyed by
  * strings and ints; no pointers, no wall time). Findings that are
  * understood and provably order-independent (commutative counter
@@ -49,7 +38,6 @@
 #include <map>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -95,18 +83,6 @@ class AccessTracker
     void record(const SimObject *obj, const char *cell, bool is_write,
                 const char *file, int line);
 
-    /** @{
-     * Partition dependency data. recordPartitionLink() feeds the
-     * lookahead table (called from Network::connect when both
-     * endpoints carry domains); recordPartitionFlow() counts
-     * messages crossing a domain pair (called from
-     * Network::sendOnRoute). Both also fire implicitly when an
-     * event touches two domains.
-     */
-    void recordPartitionLink(int a, int b, Tick latency);
-    void recordPartitionFlow(int src, int dst);
-    /** @} */
-
     /**
      * Waive findings whose cell path contains @p pattern
      * (substring match). Waived findings stay in the report with
@@ -130,21 +106,7 @@ class AccessTracker
 
     std::uint64_t accessCount() const { return accesses_; }
 
-    /** Min link latency per ordered domain pair (a < b). */
-    const std::map<std::pair<int, int>, Tick> &
-    lookahead() const
-    {
-        return lookahead_;
-    }
-
-    /** Message count per ordered (src, dst) domain pair. */
-    const std::map<std::pair<int, int>, std::uint64_t> &
-    flows() const
-    {
-        return flows_;
-    }
-
-    /** Write the full ehpsim-race-v1 report as one JSON object. */
+    /** Write the full ehpsim-race-v2 report as one JSON object. */
     void dumpJson(json::JsonWriter &jw) const;
 
     /**
@@ -164,9 +126,8 @@ class AccessTracker
         std::string site;   ///< "file.cc:123"
     };
 
-    /** kind, cell, endpoint a, endpoint b. */
-    using ConflictKey =
-        std::tuple<std::string, std::string, std::string, std::string>;
+    /** cell, endpoint a, endpoint b. */
+    using ConflictKey = std::tuple<std::string, std::string, std::string>;
 
     struct ConflictInfo
     {
@@ -180,8 +141,8 @@ class AccessTracker
         mutable std::uint64_t uses = 0;
     };
 
-    void noteConflict(const std::string &kind, const std::string &cell,
-                      std::string a, std::string b);
+    void noteConflict(const std::string &cell, std::string a,
+                      std::string b);
 
     /** The waiver matching @p cell, or null. */
     const Waiver *waiverFor(const std::string &cell) const;
@@ -190,7 +151,6 @@ class AccessTracker
     Tick cur_tick_ = 0;
     int cur_priority_ = 0;
     std::uint64_t cur_seq_ = 0;
-    int cur_domain_ = -1;
 
     /** Accesses in the current (tick, priority) batch window,
      *  per cell. Cleared when the window key changes, so memory is
@@ -203,8 +163,6 @@ class AccessTracker
     std::map<ConflictKey, ConflictInfo> conflicts_;
     /** pattern -> waiver, iterated in sorted order. */
     std::map<std::string, Waiver> waivers_;
-    std::map<std::pair<int, int>, Tick> lookahead_;
-    std::map<std::pair<int, int>, std::uint64_t> flows_;
     std::uint64_t events_ = 0;
     std::uint64_t accesses_ = 0;
 };
@@ -250,8 +208,6 @@ void trackRead(const SimObject *obj, const char *cell,
                const char *file, int line);
 void trackWrite(const SimObject *obj, const char *cell,
                 const char *file, int line);
-void notePartitionLink(int a, int b, Tick latency);
-void notePartitionFlow(int src, int dst);
 /** @} */
 
 /**
@@ -275,15 +231,9 @@ void addStandardWaivers(AccessTracker &t);
     ::ehpsim::race::trackRead((obj), (cell), __FILE__, __LINE__)
 #define EHPSIM_TRACK_WRITE(obj, cell) \
     ::ehpsim::race::trackWrite((obj), (cell), __FILE__, __LINE__)
-#define EHPSIM_RACE_PARTITION_LINK(a, b, latency) \
-    ::ehpsim::race::notePartitionLink((a), (b), (latency))
-#define EHPSIM_RACE_PARTITION_FLOW(src, dst) \
-    ::ehpsim::race::notePartitionFlow((src), (dst))
 #else
 #define EHPSIM_TRACK_READ(obj, cell) ((void)0)
 #define EHPSIM_TRACK_WRITE(obj, cell) ((void)0)
-#define EHPSIM_RACE_PARTITION_LINK(a, b, latency) ((void)0)
-#define EHPSIM_RACE_PARTITION_FLOW(src, dst) ((void)0)
 #endif
 
 #endif // EHPSIM_SIM_ACCESS_TRACKER_HH

@@ -52,32 +52,10 @@ class SimObject : public stats::StatGroup
 
     Tick curTick() const { return eventq_ ? eventq_->curTick() : 0; }
 
-    /**
-     * Declare which partition (socket / IOD id) owns this object's
-     * state. Children
-     * inherit their nearest ancestor's domain; -1 (the default)
-     * means "unpartitioned". Read by the ehpsim-race AccessTracker
-     * to classify cross-partition accesses.
-     */
-    void setRaceDomain(int domain) { race_domain_ = domain; }
-
-    /** This object's partition domain, inherited from the nearest
-     *  domain-bearing ancestor; -1 when no ancestor declares one. */
-    int
-    raceDomain() const
-    {
-        for (const SimObject *o = this; o; o = o->parent_) {
-            if (o->race_domain_ >= 0)
-                return o->race_domain_;
-        }
-        return -1;
-    }
-
   private:
     std::string name_;
     SimObject *parent_;
     EventQueue *eventq_;
-    int race_domain_ = -1;
 };
 
 /**

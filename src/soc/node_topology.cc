@@ -22,11 +22,6 @@ NodeTopology::addEndpoint(const std::string &name, unsigned links,
     checkMutable("addSocket/addHost");
     names_.push_back(name);
     nodes_.push_back(net_->addNode(name, fabric::NodeKind::device));
-    // Every endpoint (socket or host) is its own partition domain
-    // for the race detector. Declared before any connect() so
-    // cross-domain links feed the lookahead table.
-    net_->setNodeDomain(nodes_.back(),
-                        static_cast<int>(names_.size() - 1));
     total_links_.push_back(links);
     used_links_.push_back(0);
     link_gbps_.push_back(x16_gbps);
