@@ -8,7 +8,9 @@
  * is checked the same way: a flag a bench does not take must exit 2,
  * not be silently ignored. Malformed values (garbage or negative
  * numbers, overflowing sizes, bad fault specs) exit 2 with one
- * message instead of aborting. The binaries come in via
+ * message instead of aborting. The race subcommand of a build
+ * without the tracker hooks exits 2 and names the CMake option that
+ * adds them. The binaries come in via
  * EHPSIM_CLI_BIN, EHPSIM_SWEEP_BENCH_BIN (a sweep-shaped bench),
  * EHPSIM_PLAIN_BENCH_BIN (a flagless one) and EHPSIM_PERF_KERNEL_BIN.
  */
@@ -243,6 +245,19 @@ TEST(CliArgs, MalformedNumbersExitTwo)
     expectArgError(cli, "sweep --scale -2", "scale_negative");
     expectArgError(cli, "race --requests x", "race_requests");
 }
+
+#ifndef EHPSIM_RACE
+TEST(CliRace, PlainBuildExitsTwoAndNamesTheOption)
+{
+    // Without the tracker hooks the race subcommand cannot observe
+    // anything; it must refuse and say how to build one that can.
+    const auto res = runCli("race", "race_plain");
+    EXPECT_EQ(res.exit_code, 2) << res.stderr_text;
+    EXPECT_NE(res.stderr_text.find("-DEHPSIM_RACE=ON"),
+              std::string::npos)
+        << res.stderr_text;
+}
+#endif
 
 TEST(CliArgs, OverflowingSizeExitsTwo)
 {
