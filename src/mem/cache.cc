@@ -20,8 +20,7 @@ Cache::Cache(SimObject *parent, const std::string &name,
       probe_invalidations(this, "probe_invalidations",
                           "lines invalidated by coherence probes"),
       params_(params),
-      array_(params.size_bytes, params.assoc, params.line_bytes,
-             params.policy),
+      array_(params.size_bytes, params.assoc, params.line_bytes),
       below_(below)
 {
     const Tick period = periodFromGHz(params.clock_ghz);
@@ -53,42 +52,29 @@ Cache::access(Tick when, Addr addr, std::uint64_t bytes, bool write)
     for (Addr la = first;; la += line) {
         const Tick issue = port_.occupy(when, line) + latency_ticks_;
         Tick line_done = issue;
-        if (array_.lookup(la)) {
+        if (auto way = array_.lookup(la)) {
             ++hits;
-            if (write) {
-                auto way = array_.peek(la);
-                array_.line(la, *way).dirty = !params_.write_through;
-                if (params_.write_through && below_) {
-                    auto r = below_->access(issue, la, line, true);
-                    res.bytes_below += line;
-                    line_done = r.complete;
-                }
-            }
+            if (write)
+                array_.line(la, *way).dirty = true;
         } else {
             ++misses;
             res.hit = false;
-            const bool allocate = !write || params_.write_allocate;
             if (below_) {
-                // Fetch (or write through) the line below.
-                auto r = below_->access(issue, la, line,
-                                        write && !allocate);
+                // Fetch the line below; a write miss allocates too.
+                auto r = below_->access(issue, la, line, false);
                 res.bytes_below += line;
                 line_done = r.complete;
             }
-            if (allocate) {
-                auto victim = array_.insert(
-                    la, write && !params_.write_through);
-                if (victim && victim->dirty) {
-                    // Issued at miss time, behind the fetch: issuing
-                    // at the response time would reserve downstream
-                    // bandwidth in the future and stall other
-                    // requestors (no-backfill occupancy model).
-                    ++writebacks;
-                    if (below_) {
-                        below_->access(issue, victim->tag, line,
-                                       true);
-                        res.bytes_below += line;
-                    }
+            auto victim = array_.fill(la, write);
+            if (victim && victim->dirty) {
+                // Issued at miss time, behind the fetch: issuing at
+                // the response time would reserve downstream
+                // bandwidth in the future and stall other requestors
+                // (no-backfill occupancy model).
+                ++writebacks;
+                if (below_) {
+                    below_->access(issue, victim->tag, line, true);
+                    res.bytes_below += line;
                 }
             }
         }

@@ -1,6 +1,6 @@
 /**
  * @file
- * A timed set-associative cache level built on CacheArray.
+ * A timed write-back, write-allocate cache level built on CacheArray.
  *
  * Used for the GPU L1D (32 KB, 128 B lines), shared instruction
  * caches, XCD L2 (4 MB), CPU L1/L2/L3, and as the base of the
@@ -29,9 +29,6 @@ struct CacheParams
     Cycles latency_cycles = 4;          ///< hit latency
     double clock_ghz = 2.0;             ///< clock for latency/bandwidth
     double bytes_per_cycle = 64;        ///< port bandwidth
-    ReplPolicy policy = ReplPolicy::lru;
-    bool write_through = false;         ///< else write-back
-    bool write_allocate = true;
 };
 
 class Cache : public MemDevice

@@ -1,6 +1,6 @@
 #include "mem/cache_array.hh"
 
-#include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -10,75 +10,35 @@ namespace ehpsim
 namespace mem
 {
 
-namespace
-{
-
-bool
-isPow2(std::uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-} // anonymous namespace
-
 CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
-                       unsigned line_bytes, ReplPolicy policy,
-                       std::uint64_t seed)
-    : size_bytes_(size_bytes),
-      assoc_(assoc),
-      line_bytes_(line_bytes),
-      policy_(policy),
-      rng_(seed)
+                       unsigned line_bytes)
+    : size_bytes_(size_bytes), assoc_(assoc), line_bytes_(line_bytes)
 {
     if (assoc == 0 || line_bytes == 0 || size_bytes == 0)
         fatal("cache geometry must be nonzero");
-    if (!isPow2(line_bytes))
+    if (!std::has_single_bit(line_bytes))
         fatal("cache line size must be a power of two");
     if (size_bytes % (static_cast<std::uint64_t>(assoc) * line_bytes))
         fatal("cache size not divisible by assoc * line size");
     const std::uint64_t sets =
         size_bytes / (static_cast<std::uint64_t>(assoc) * line_bytes);
-    if (!isPow2(sets))
+    if (!std::has_single_bit(sets))
         fatal("cache set count must be a power of two");
     num_sets_ = static_cast<unsigned>(sets);
     line_mask_ = line_bytes_ - 1;
+    line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes_));
+    set_mask_ = num_sets_ - 1;
     lines_.resize(static_cast<std::size_t>(num_sets_) * assoc_);
-    plru_bits_.assign(num_sets_, 0);
-}
-
-unsigned
-CacheArray::setIndex(Addr addr) const
-{
-    return static_cast<unsigned>((addr / line_bytes_) % num_sets_);
 }
 
 std::optional<unsigned>
 CacheArray::lookup(Addr addr)
 {
     const Addr tag = lineAlign(addr);
-    const unsigned set = setIndex(addr);
+    CacheLine *base = setBase(addr);
     for (unsigned way = 0; way < assoc_; ++way) {
-        CacheLine &l =
-            lines_[static_cast<std::size_t>(set) * assoc_ + way];
-        if (l.valid && l.tag == tag) {
-            touch(l);
-            if (policy_ == ReplPolicy::plru) {
-                // Mark the path to this way as recently used.
-                unsigned node = 1;
-                unsigned lo = 0, hi = assoc_;
-                while (hi - lo > 1) {
-                    const unsigned mid = (lo + hi) / 2;
-                    if (way < mid) {
-                        plru_bits_[set] |= (1u << node);
-                        node = node * 2;
-                        hi = mid;
-                    } else {
-                        plru_bits_[set] &= ~(1u << node);
-                        node = node * 2 + 1;
-                        lo = mid;
-                    }
-                }
-            }
+        if (base[way].valid && base[way].tag == tag) {
+            base[way].last_use = ++use_counter_;
             return way;
         }
     }
@@ -89,11 +49,9 @@ std::optional<unsigned>
 CacheArray::peek(Addr addr) const
 {
     const Addr tag = lineAlign(addr);
-    const unsigned set = setIndex(addr);
+    const CacheLine *base = setBase(addr);
     for (unsigned way = 0; way < assoc_; ++way) {
-        const CacheLine &l =
-            lines_[static_cast<std::size_t>(set) * assoc_ + way];
-        if (l.valid && l.tag == tag)
+        if (base[way].valid && base[way].tag == tag)
             return way;
     }
     return std::nullopt;
@@ -102,88 +60,38 @@ CacheArray::peek(Addr addr) const
 CacheLine &
 CacheArray::line(Addr addr, unsigned way)
 {
-    const unsigned set = setIndex(addr);
-    return lines_[static_cast<std::size_t>(set) * assoc_ + way];
+    return setBase(addr)[way];
 }
 
 const CacheLine &
 CacheArray::line(Addr addr, unsigned way) const
 {
-    const unsigned set = setIndex(addr);
-    return lines_[static_cast<std::size_t>(set) * assoc_ + way];
-}
-
-void
-CacheArray::touch(CacheLine &line)
-{
-    line.last_use = ++use_counter_;
-}
-
-unsigned
-CacheArray::victimWay(unsigned set)
-{
-    CacheLine *base = &lines_[static_cast<std::size_t>(set) * assoc_];
-    // Prefer an invalid way.
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (!base[way].valid)
-            return way;
-    }
-    switch (policy_) {
-      case ReplPolicy::lru: {
-        unsigned victim = 0;
-        for (unsigned way = 1; way < assoc_; ++way) {
-            if (base[way].last_use < base[victim].last_use)
-                victim = way;
-        }
-        return victim;
-      }
-      case ReplPolicy::plru: {
-        // Walk the tree away from recently-used halves.
-        unsigned node = 1;
-        unsigned lo = 0, hi = assoc_;
-        while (hi - lo > 1) {
-            const unsigned mid = (lo + hi) / 2;
-            const bool left_recent = plru_bits_[set] & (1u << node);
-            if (left_recent) {
-                node = node * 2 + 1;
-                lo = mid;
-            } else {
-                node = node * 2;
-                hi = mid;
-            }
-        }
-        return lo;
-      }
-      case ReplPolicy::random:
-        return static_cast<unsigned>(rng_.nextBounded(assoc_));
-    }
-    panic("bad replacement policy");
+    return setBase(addr)[way];
 }
 
 std::optional<CacheLine>
-CacheArray::insert(Addr addr, bool dirty, bool prefetched)
+CacheArray::fill(Addr addr, bool dirty, bool prefetched)
 {
-    const Addr tag = lineAlign(addr);
-    const unsigned set = setIndex(addr);
-
-    if (auto way = lookup(addr)) {
-        CacheLine &l = line(addr, *way);
-        l.dirty = l.dirty || dirty;
-        l.prefetched = l.prefetched && prefetched;
-        return std::nullopt;
+    // The first invalid way, else the least recently used one.
+    CacheLine *base = setBase(addr);
+    unsigned way = 0;
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if (!base[w].valid) {
+            way = w;
+            break;
+        }
+        if (base[w].last_use < base[way].last_use)
+            way = w;
     }
-
-    const unsigned way = victimWay(set);
-    CacheLine &l = lines_[static_cast<std::size_t>(set) * assoc_ + way];
+    CacheLine &l = base[way];
     std::optional<CacheLine> victim;
     if (l.valid)
         victim = l;
-    l.tag = tag;
-    l.valid = true;
-    l.dirty = dirty;
-    l.state = 0;
-    l.prefetched = prefetched;
-    touch(l);
+    l = {.tag = lineAlign(addr),
+         .last_use = ++use_counter_,
+         .valid = true,
+         .dirty = dirty,
+         .prefetched = prefetched};
     return victim;
 }
 
@@ -230,7 +138,6 @@ CacheArray::snapshot(SnapshotWriter &w) const
     w.putU64(size_bytes_);
     w.putU32(assoc_);
     w.putU32(line_bytes_);
-    rng_.snapshot(w);
     w.putU64(use_counter_);
     w.putU64(numValid());
     for (std::size_t i = 0; i < lines_.size(); ++i) {
@@ -240,21 +147,8 @@ CacheArray::snapshot(SnapshotWriter &w) const
         w.putU64(i);
         w.putU64(l.tag);
         w.putBool(l.dirty);
-        w.putU8(l.state);
         w.putU64(l.last_use);
         w.putBool(l.prefetched);
-    }
-    std::uint64_t nonzero = 0;
-    for (std::uint32_t bits : plru_bits_) {
-        if (bits)
-            ++nonzero;
-    }
-    w.putU64(nonzero);
-    for (std::size_t s = 0; s < plru_bits_.size(); ++s) {
-        if (plru_bits_[s]) {
-            w.putU32(static_cast<std::uint32_t>(s));
-            w.putU32(plru_bits_[s]);
-        }
     }
 }
 
@@ -270,31 +164,36 @@ CacheArray::restore(SnapshotReader &r)
               size_bytes_, " B x", assoc_, "-way x", line_bytes_,
               " B lines — checkpoint/config mismatch");
     }
-    rng_.restore(r);
     use_counter_ = r.getU64();
     lines_.assign(lines_.size(), CacheLine{});
     const std::uint64_t valid = r.getU64();
+    if (valid > lines_.size())
+        fatal("cache snapshot holds ", valid, " lines but the array has ",
+              lines_.size(), " — corrupt checkpoint");
+    std::uint64_t next = 0;     // lowest index the next line may take
     for (std::uint64_t i = 0; i < valid; ++i) {
         const std::uint64_t idx = r.getU64();
-        if (idx >= lines_.size())
+        if (idx < next || idx >= lines_.size())
             fatal("cache snapshot line index ", idx,
-                  " out of range — corrupt checkpoint");
+                  " out of order or out of range — corrupt checkpoint");
+        next = idx + 1;
+        const Addr tag = r.getU64();
+        if ((tag & line_mask_) != 0 || setIndex(tag) != idx / assoc_)
+            fatal("cache snapshot tag ", tag, " cannot sit at line ",
+                  idx, " — corrupt checkpoint");
+        if (peek(tag))
+            fatal("cache snapshot repeats tag ", tag,
+                  " in one set — corrupt checkpoint");
         CacheLine &l = lines_[idx];
+        l.tag = tag;
         l.valid = true;
-        l.tag = r.getU64();
         l.dirty = r.getBool();
-        l.state = r.getU8();
         l.last_use = r.getU64();
+        if (l.last_use > use_counter_)
+            fatal("cache snapshot line last used at ", l.last_use,
+                  " past the LRU clock ", use_counter_,
+                  " — corrupt checkpoint");
         l.prefetched = r.getBool();
-    }
-    plru_bits_.assign(num_sets_, 0);
-    const std::uint64_t nonzero = r.getU64();
-    for (std::uint64_t i = 0; i < nonzero; ++i) {
-        const std::uint32_t s = r.getU32();
-        if (s >= plru_bits_.size())
-            fatal("cache snapshot PLRU set ", s,
-                  " out of range — corrupt checkpoint");
-        plru_bits_[s] = r.getU32();
     }
 }
 

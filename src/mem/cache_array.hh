@@ -1,6 +1,6 @@
 /**
  * @file
- * A generic set-associative tag array with pluggable replacement.
+ * A generic set-associative tag array with LRU replacement.
  *
  * CacheArray is purely structural (tags + per-line metadata); timing
  * and statistics live in the wrapping cache models. It underpins the
@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "sim/rng.hh"
 #include "sim/types.hh"
 
 namespace ehpsim
@@ -26,24 +25,18 @@ class SnapshotReader;
 namespace mem
 {
 
-/** Replacement policy selection. */
-enum class ReplPolicy
-{
-    lru,        ///< true LRU via access timestamps
-    plru,       ///< tree pseudo-LRU
-    random,     ///< uniform random victim
-};
-
 /** Per-line metadata. */
 struct CacheLine
 {
     Addr tag = 0;
+    std::uint64_t last_use = 0; ///< LRU timestamp
     bool valid = false;
     bool dirty = false;
-    std::uint8_t state = 0;     ///< coherence state (module-defined)
-    std::uint64_t last_use = 0; ///< LRU timestamp
     bool prefetched = false;    ///< filled by a prefetcher
 };
+
+// Multi-MiB arrays hold one of these per line; keep the padding out.
+static_assert(sizeof(CacheLine) == 24, "CacheLine must pack to 24 B");
 
 class CacheArray
 {
@@ -52,12 +45,9 @@ class CacheArray
      * @param size_bytes Total capacity.
      * @param assoc Ways per set.
      * @param line_bytes Cache line size.
-     * @param policy Replacement policy.
-     * @param seed RNG seed (random policy only).
      */
     CacheArray(std::uint64_t size_bytes, unsigned assoc,
-               unsigned line_bytes, ReplPolicy policy = ReplPolicy::lru,
-               std::uint64_t seed = 1);
+               unsigned line_bytes);
 
     std::uint64_t sizeBytes() const { return size_bytes_; }
 
@@ -71,7 +61,11 @@ class CacheArray
     Addr lineAlign(Addr addr) const { return addr & ~line_mask_; }
 
     /** Set index of @p addr. */
-    unsigned setIndex(Addr addr) const;
+    unsigned
+    setIndex(Addr addr) const
+    {
+        return static_cast<unsigned>((addr >> line_shift_) & set_mask_);
+    }
 
     /**
      * Look up @p addr; on hit returns the way and updates recency.
@@ -81,18 +75,21 @@ class CacheArray
     /** Look up without updating replacement state. */
     std::optional<unsigned> peek(Addr addr) const;
 
-    /** Access a line found by lookup()/insert(). */
+    /** Access a line found by lookup()/peek(). */
     CacheLine &line(Addr addr, unsigned way);
 
     const CacheLine &line(Addr addr, unsigned way) const;
 
     /**
-     * Insert @p addr, evicting if needed.
-     * @return the victim line's previous contents when a valid dirty
-     *         or clean line was displaced (for writeback decisions).
+     * Fill @p addr into a free way of its set, or into the least
+     * recently used one. Call only after lookup() or peek() missed
+     * on @p addr: fill() does not probe, so filling a resident line
+     * would give the set two copies of it.
+     * @return the evicted line's previous contents when a valid line
+     *         was displaced (for writeback decisions).
      */
-    std::optional<CacheLine> insert(Addr addr, bool dirty,
-                                    bool prefetched = false);
+    std::optional<CacheLine> fill(Addr addr, bool dirty,
+                                  bool prefetched = false);
 
     /** Invalidate @p addr if present; @return the old line. */
     std::optional<CacheLine> invalidate(Addr addr);
@@ -107,34 +104,45 @@ class CacheArray
     bool tagsUnique() const;
 
     /**
-     * @{ Checkpoint the replacement state and the valid lines
-     * (DESIGN.md §16). Sparse: only valid lines and nonzero PLRU
-     * words are written — a residual field on an invalidated line
-     * is never observed (lookup/victimWay gate on valid, insert
-     * overwrites every field), so dropping them is behaviorally
-     * identical and keeps an untouched multi-MiB array to a few
-     * bytes. restore() fatals when the saved geometry disagrees
-     * with the configured one.
+     * @{ Checkpoint the LRU clock and the valid lines (DESIGN.md
+     * §16). Sparse: only valid lines are written — a residual field
+     * on an invalidated line is never observed (lookup/victimWay gate
+     * on valid, fill overwrites every field), so dropping them is
+     * behaviorally identical and keeps an untouched multi-MiB array
+     * to a few bytes. restore() fatals when the saved geometry
+     * disagrees with the configured one, and on any line no array
+     * could hold: indices not strictly ascending, a tag that is not
+     * line-aligned, lies outside its index's set or repeats a tag
+     * valid earlier in that set, a last use past the saved clock, or
+     * more lines than the array has.
      */
     void snapshot(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
     /** @} */
 
   private:
-    unsigned victimWay(unsigned set);
+    /** The first way of @p addr's set. */
+    CacheLine *
+    setBase(Addr addr)
+    {
+        return &lines_[std::size_t{setIndex(addr)} * assoc_];
+    }
 
-    void touch(CacheLine &line);
+    const CacheLine *
+    setBase(Addr addr) const
+    {
+        return &lines_[std::size_t{setIndex(addr)} * assoc_];
+    }
 
     std::uint64_t size_bytes_;
     unsigned assoc_;
     unsigned line_bytes_;
     unsigned num_sets_;
     Addr line_mask_;
-    ReplPolicy policy_;
-    Rng rng_;
+    unsigned line_shift_;
+    Addr set_mask_;
     std::uint64_t use_counter_ = 0;
     std::vector<CacheLine> lines_;          ///< sets * assoc, row-major
-    std::vector<std::uint32_t> plru_bits_;  ///< per-set PLRU tree
 };
 
 } // namespace mem

@@ -22,8 +22,7 @@ InfinityCacheSlice::InfinityCacheSlice(SimObject *parent,
       bytes_from_hbm(this, "bytes_from_hbm",
                      "bytes moved between slice and HBM channel"),
       params_(params),
-      array_(params.size_bytes, params.assoc, params.line_bytes,
-             ReplPolicy::lru),
+      array_(params.size_bytes, params.assoc, params.line_bytes),
       channel_(channel),
       port_(params.hit_bandwidth / static_cast<double>(ticksPerSecond))
 {
@@ -65,7 +64,7 @@ InfinityCacheSlice::access(Tick when, Addr addr, std::uint64_t bytes,
             bytes_from_hbm += line;
             res.bytes_below += line;
             line_done = r.complete;
-            auto victim = array_.insert(la, write);
+            auto victim = array_.fill(la, write);
             if (victim && victim->dirty) {
                 // The writeback enters the channel queue right behind
                 // the fetch; issuing it at the (later) response time
@@ -84,7 +83,7 @@ InfinityCacheSlice::access(Tick when, Addr addr, std::uint64_t bytes,
                     ++prefetch_issued;
                     channel_->access(issue, pf, line, false);
                     bytes_from_hbm += line;
-                    auto pf_victim = array_.insert(pf, false, true);
+                    auto pf_victim = array_.fill(pf, false, true);
                     if (pf_victim && pf_victim->dirty) {
                         ++writebacks;
                         channel_->access(issue, pf_victim->tag,

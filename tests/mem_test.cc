@@ -169,11 +169,11 @@ TEST(Interleave, OutOfRangeAddressFatal)
 // CacheArray
 // ---------------------------------------------------------------------
 
-TEST(CacheArray, HitAfterInsert)
+TEST(CacheArray, HitAfterFill)
 {
     CacheArray arr(8 * 1024, 4, 64);
     EXPECT_FALSE(arr.lookup(0x1000).has_value());
-    arr.insert(0x1000, false);
+    arr.fill(0x1000, false);
     EXPECT_TRUE(arr.lookup(0x1000).has_value());
     EXPECT_TRUE(arr.lookup(0x1020).has_value());    // same line
     EXPECT_FALSE(arr.lookup(0x1040).has_value());   // next line
@@ -182,11 +182,11 @@ TEST(CacheArray, HitAfterInsert)
 TEST(CacheArray, LruEvictsOldest)
 {
     // 4-way, one set per... size 4*64 = 256 B -> 1 set.
-    CacheArray arr(256, 4, 64, ReplPolicy::lru);
+    CacheArray arr(256, 4, 64);
     for (Addr a = 0; a < 4 * 64; a += 64)
-        arr.insert(a, false);
+        arr.fill(a, false);
     arr.lookup(0);          // refresh line 0
-    const auto victim = arr.insert(0x1000, false);
+    const auto victim = arr.fill(0x1000, false);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->tag, 64u);    // line 1 was least recent
     EXPECT_TRUE(arr.lookup(0).has_value());
@@ -196,8 +196,8 @@ TEST(CacheArray, DirtyVictimReported)
 {
     CacheArray arr(256, 4, 64);
     for (Addr a = 0; a < 4 * 64; a += 64)
-        arr.insert(a, true);
-    const auto victim = arr.insert(0x2000, false);
+        arr.fill(a, true);
+    const auto victim = arr.fill(0x2000, false);
     ASSERT_TRUE(victim.has_value());
     EXPECT_TRUE(victim->dirty);
 }
@@ -205,7 +205,7 @@ TEST(CacheArray, DirtyVictimReported)
 TEST(CacheArray, InvalidateReturnsLine)
 {
     CacheArray arr(8 * 1024, 4, 64);
-    arr.insert(0x40, true);
+    arr.fill(0x40, true);
     const auto line = arr.invalidate(0x40);
     ASSERT_TRUE(line.has_value());
     EXPECT_TRUE(line->dirty);
@@ -216,21 +216,17 @@ TEST(CacheArray, InvalidateReturnsLine)
 TEST(CacheArray, FlushReturnsDirtyLines)
 {
     CacheArray arr(8 * 1024, 4, 64);
-    arr.insert(0x00, true);
-    arr.insert(0x40, false);
-    arr.insert(0x80, true);
+    arr.fill(0x00, true);
+    arr.fill(0x40, false);
+    arr.fill(0x80, true);
     const auto dirty = arr.flushAll();
     EXPECT_EQ(dirty.size(), 2u);
     EXPECT_EQ(arr.numValid(), 0u);
 }
 
-class CacheArrayPolicy : public ::testing::TestWithParam<ReplPolicy>
+TEST(CacheArray, InvariantsUnderRandomTraffic)
 {
-};
-
-TEST_P(CacheArrayPolicy, InvariantsUnderRandomTraffic)
-{
-    CacheArray arr(16 * 1024, 8, 128, GetParam(), 99);
+    CacheArray arr(16 * 1024, 8, 128);
     Rng rng(5);
     std::uint64_t hits = 0;
     for (int i = 0; i < 20000; ++i) {
@@ -238,7 +234,7 @@ TEST_P(CacheArrayPolicy, InvariantsUnderRandomTraffic)
         if (arr.lookup(a)) {
             ++hits;
         } else {
-            arr.insert(a, rng.nextBool(0.5));
+            arr.fill(a, rng.nextBool(0.5));
         }
         if (i % 1024 == 0) {
             EXPECT_TRUE(arr.tagsUnique());
@@ -249,26 +245,18 @@ TEST_P(CacheArrayPolicy, InvariantsUnderRandomTraffic)
     EXPECT_GT(hits, 0u);
 }
 
-TEST_P(CacheArrayPolicy, CapacityWorkingSetAlwaysHits)
+TEST(CacheArray, CapacityWorkingSetAlwaysHits)
 {
     // A working set exactly matching capacity, touched round-robin,
-    // must stay resident under LRU; PLRU/random may evict but the
-    // structure must stay consistent.
-    CacheArray arr(8 * 1024, 8, 64, GetParam());
+    // must stay resident under LRU.
+    CacheArray arr(8 * 1024, 8, 64);
     for (Addr a = 0; a < 8 * 1024; a += 64)
-        arr.insert(a, false);
+        arr.fill(a, false);
     EXPECT_EQ(arr.numValid(), 128u);
-    if (GetParam() == ReplPolicy::lru) {
-        for (Addr a = 0; a < 8 * 1024; a += 64)
-            EXPECT_TRUE(arr.lookup(a).has_value());
-    }
+    for (Addr a = 0; a < 8 * 1024; a += 64)
+        EXPECT_TRUE(arr.lookup(a).has_value());
     EXPECT_TRUE(arr.tagsUnique());
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, CacheArrayPolicy,
-                         ::testing::Values(ReplPolicy::lru,
-                                           ReplPolicy::plru,
-                                           ReplPolicy::random));
 
 TEST(CacheArray, RejectsBadGeometry)
 {
@@ -333,20 +321,6 @@ TEST(Cache, DirtyEvictionWritesBack)
     cache.access(0, 0x4000, 128, false);
     EXPECT_DOUBLE_EQ(cache.writebacks.value(), 1.0);
     EXPECT_EQ(memory.writes, 1u);
-}
-
-TEST(Cache, WriteThroughForwardsStores)
-{
-    SimObject root(nullptr, "root");
-    FlatMemory memory(&root, 1'000);
-    CacheParams cp;
-    cp.size_bytes = 32 * 1024;
-    cp.line_bytes = 64;
-    cp.write_through = true;
-    Cache cache(&root, "wt", cp, &memory);
-    cache.access(0, 0, 64, true);       // miss: fill + store-through
-    cache.access(0, 0, 64, true);       // hit: still store-through
-    EXPECT_GE(memory.writes, 1u);
 }
 
 TEST(Cache, FlushWritesDirtyAndEmpties)

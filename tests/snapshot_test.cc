@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,9 +27,11 @@
 #include <atomic>
 
 #include "comm/comm_group.hh"
+#include "mem/cache_array.hh"
 #include "mem/mem_device.hh"
 #include "serve/scenario.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "sim/sim_object.hh"
 #include "sim/snapshot.hh"
 #include "soc/node_topology.hh"
@@ -325,8 +329,9 @@ struct TrackerBlob
     }
 };
 
+template <class T>
 void
-restoreInto(OccupancyTracker &t, const std::string &blob)
+restoreInto(T &t, const std::string &blob)
 {
     SnapshotReader r(blob);
     t.restore(r);
@@ -405,6 +410,144 @@ TEST(SnapshotErrors, FlippedOccupancyByteIsFatalOrHarmless)
             }
             EXPECT_GE(t.occupy(0, 4096), 0u) << "byte " << i;
         }
+    }
+}
+
+namespace
+{
+
+using mem::CacheArray;
+
+/** A cache-array blob written field by field, so a test can make it
+ *  say what no array would. The geometry is 4 sets x 2 ways of 64 B
+ *  lines; line index i lives in set i / 2. */
+struct CacheBlob
+{
+    struct Line
+    {
+        std::uint64_t idx;
+        Addr tag;
+        bool dirty;
+        std::uint64_t last_use;
+        bool prefetched;
+    };
+
+    std::uint64_t use_counter = 9;
+    std::array<Line, 3> lines = {{{0, 0x000, true, 3, false},
+                                  {1, 0x100, false, 7, true},
+                                  {5, 0x280, false, 9, false}}};
+    std::optional<std::uint64_t> count;     ///< else lines.size()
+
+    std::string
+    bytes() const
+    {
+        SnapshotWriter w;
+        w.putU64(512);
+        w.putU32(2);
+        w.putU32(64);
+        w.putU64(use_counter);
+        w.putU64(count.value_or(lines.size()));
+        for (const Line &l : lines) {
+            w.putU64(l.idx);
+            w.putU64(l.tag);
+            w.putBool(l.dirty);
+            w.putU64(l.last_use);
+            w.putBool(l.prefetched);
+        }
+        return w.blob();
+    }
+};
+
+/** Every valid line sits in the set its tag maps to and is unique
+ *  there, so lookup() finds each one exactly where it is. */
+void
+expectLinesFindable(const CacheArray &a, const std::string &what)
+{
+    EXPECT_TRUE(a.tagsUnique()) << what;
+    for (unsigned set = 0; set < a.numSets(); ++set) {
+        const Addr base = Addr{set} * a.lineBytes();
+        for (unsigned way = 0; way < a.assoc(); ++way) {
+            const auto &l = a.line(base, way);
+            if (l.valid) {
+                EXPECT_EQ(a.peek(l.tag), std::optional<unsigned>(way))
+                    << what << ": set " << set << " way " << way;
+            }
+        }
+    }
+}
+
+} // anonymous namespace
+
+TEST(SnapshotErrors, ImpossibleCacheBlobsAreFatal)
+{
+    std::vector<std::pair<const char *, CacheBlob>> bad;
+    const auto add = [&](const char *what, auto edit) {
+        CacheBlob b;
+        edit(b);
+        bad.emplace_back(what, b);
+    };
+    add("repeated index", [](CacheBlob &b) { b.lines[1].idx = 0; });
+    add("descending indices",
+        [](CacheBlob &b) { std::swap(b.lines[1], b.lines[2]); });
+    add("index past the array", [](CacheBlob &b) { b.lines[2].idx = 8; });
+    add("unaligned tag", [](CacheBlob &b) { b.lines[0].tag = 0x004; });
+    add("tag outside its set",
+        [](CacheBlob &b) { b.lines[2].tag = 0x2c0; });
+    add("tag repeated in one set",
+        [](CacheBlob &b) { b.lines[1].tag = 0x000; });
+    add("last use past the clock",
+        [](CacheBlob &b) { b.lines[2].last_use = 10; });
+    add("more lines than the array holds",
+        [](CacheBlob &b) { b.count = 9; });
+
+    CacheArray ok(512, 2, 64);
+    ASSERT_NO_THROW(restoreInto(ok, CacheBlob{}.bytes()));
+    EXPECT_EQ(ok.numValid(), 3u);
+    for (const Addr tag : {0x000, 0x100, 0x280})
+        EXPECT_TRUE(ok.lookup(tag).has_value()) << tag;
+    for (const auto &[what, blob] : bad) {
+        CacheArray a(512, 2, 64);
+        EXPECT_THROW(restoreInto(a, blob.bytes()), std::runtime_error)
+            << what;
+    }
+}
+
+TEST(SnapshotErrors, FlippedCacheByteIsFatalOrHarmless)
+{
+    // Flip every byte of a saved populated array in turn. Each
+    // restore must either fatal() or leave an array whose lines
+    // lookup() can find and that still serves traffic; a flipped tag
+    // used to land a line in a set lookup() never searches.
+    CacheArray src(4096, 4, 64);
+    Rng rng(7);
+    for (int i = 0; i < 300; ++i) {
+        const Addr a = rng.nextBounded(64 * 1024);
+        if (rng.nextBool(0.1))
+            src.invalidate(a);
+        else if (!src.lookup(a))
+            src.fill(a, rng.nextBool(0.5), rng.nextBool(0.25));
+    }
+    ASSERT_GT(src.numValid(), 32u);
+    SnapshotWriter w;
+    src.snapshot(w);
+    const std::string blob = w.blob();
+    for (std::size_t i = 0; i < blob.size(); ++i) {
+        std::string flipped = blob;
+        flipped[i] = static_cast<char>(flipped[i] ^ 0xff);
+        CacheArray t(4096, 4, 64);
+        try {
+            restoreInto(t, flipped);
+        } catch (const std::runtime_error &) {
+            continue;
+        }
+        const std::string what = "byte " + std::to_string(i);
+        expectLinesFindable(t, what);
+        for (Addr a = 0; a < 8 * 1024; a += 64 * 3) {
+            if (!t.lookup(a))
+                t.fill(a, false);
+            EXPECT_TRUE(t.lookup(a).has_value()) << what;
+        }
+        expectLinesFindable(t, what);
     }
 }
 
