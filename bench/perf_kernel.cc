@@ -22,6 +22,9 @@
  *                    simulator produces: 1 MiB chunks on a node x16
  *                    link (run store) and 288 B stripes arriving out
  *                    of order on a package link (dense store)
+ *   cache_lookup     the cache layer alone: a seeded address stream
+ *                    through one XCD L2 over one Infinity Cache
+ *                    slice and its HBM3 channel
  *   checkpoint_fork  the sweep fast-forward cycle (DESIGN.md §16):
  *                    warm one world with ring all-reduces, save it,
  *                    then fork eight sweep points by restoring the
@@ -52,6 +55,10 @@
 #include "fabric/link.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
+#include "gpu/xcd.hh"
+#include "mem/cache.hh"
+#include "mem/dram.hh"
+#include "mem/infinity_cache.hh"
 #include "sim/event_queue.hh"
 #include "sim/json.hh"
 #include "sim/rng.hh"
@@ -92,15 +99,18 @@ struct Sizes
     // link_occupancy
     std::uint64_t link_chunks;
     std::uint64_t link_stripes;
+    // cache_lookup
+    std::uint64_t cache_accesses;
 };
 
 Sizes
 sizesFor(bool quick)
 {
     if (quick)
-        return {2'000, 20, 64, 1'000, 16 * MiB, 1, 16 * MiB, 512, 200'000};
-    return {20'000, 100,      256,   5'000,    64 * MiB,
-            4,      64 * MiB, 8'192, 2'000'000};
+        return {2'000, 20,        64,  1'000, 16 * MiB, 1, 16 * MiB,
+                512,   200'000,   100'000};
+    return {20'000, 100,      256,   5'000,     64 * MiB,
+            4,      64 * MiB, 8'192, 2'000'000, 2'000'000};
 }
 
 /** The comm benches' communicator: 1 MiB pipelining chunks. */
@@ -438,6 +448,77 @@ benchLinkOccupancy(const Sizes &sz, unsigned repeat)
 }
 
 /**
+ * The cache layer without the SoC around it: one XCD L2 (4 MB,
+ * 16-way, 128 B lines) over one 2 MB Infinity Cache slice and its
+ * HBM3 channel. Half the accesses walk a 64 MiB stream, which
+ * misses the L2 and turns the slice's next-line prefetches into
+ * hits; the rest land at random in a 1 MiB hot set the L2 mostly
+ * keeps. One in four accesses is a write, so dirty victims write
+ * back through both levels.
+ */
+BenchResult
+benchCacheLookup(const Sizes &sz, unsigned repeat)
+{
+    BenchResult r;
+    r.name = "cache_lookup";
+    constexpr Tick kGap = 4'000;                // one access per 4 ns
+    constexpr Addr kStreamBase = 256 * MiB;
+    constexpr std::uint64_t kLine = 128;
+    double best = -1;
+    std::uint64_t l2_hits = 0, l2_misses = 0, l2_writebacks = 0;
+    std::uint64_t ic_hits = 0, ic_misses = 0, ic_writebacks = 0;
+    std::uint64_t prefetch_hits = 0, last_complete = 0;
+    for (unsigned rep = 0; rep < repeat; ++rep) {
+        SimObject root(nullptr, "root");
+        mem::DramChannel hbm(&root, "hbm", mem::hbm3ChannelParams());
+        mem::InfinityCacheSlice ic(&root, "ic", {}, &hbm);
+        mem::Cache l2(&root, "l2", gpu::cdna3XcdParams().l2, &ic);
+        Rng rng(20240624);
+        Addr stream = 0;
+        last_complete = 0;
+        WallTimer wt;
+        for (std::uint64_t i = 0; i < sz.cache_accesses; ++i) {
+            Addr addr;
+            if (rng.nextBool(0.5)) {
+                addr = kStreamBase + stream;
+                stream = (stream + kLine) % (64 * MiB);
+            } else {
+                addr = rng.nextBounded(1 * MiB / kLine) * kLine;
+            }
+            const auto res =
+                l2.access(i * kGap, addr, kLine, rng.nextBool(0.25));
+            last_complete = std::max(last_complete, res.complete);
+        }
+        const double s = wt.seconds();
+        if (best < 0 || s < best)
+            best = s;
+        const auto count = [](const stats::Scalar &v) {
+            return static_cast<std::uint64_t>(v.value());
+        };
+        l2_hits = count(l2.hits);
+        l2_misses = count(l2.misses);
+        l2_writebacks = count(l2.writebacks);
+        ic_hits = count(ic.hits);
+        ic_misses = count(ic.misses);
+        ic_writebacks = count(ic.writebacks);
+        prefetch_hits = count(ic.prefetch_hits);
+    }
+    r.det = {{"accesses", sz.cache_accesses},
+             {"l2_hits", l2_hits},
+             {"l2_misses", l2_misses},
+             {"l2_writebacks", l2_writebacks},
+             {"ic_hits", ic_hits},
+             {"ic_misses", ic_misses},
+             {"ic_writebacks", ic_writebacks},
+             {"prefetch_hits", prefetch_hits},
+             {"last_complete", last_complete}};
+    r.best_seconds = best;
+    r.events_per_sec = static_cast<double>(sz.cache_accesses) / best;
+    r.ops_per_sec = r.events_per_sec;
+    return r;
+}
+
+/**
  * The sweep fast-forward cycle (DESIGN.md §16): simulate a shared
  * warmup prefix of ring all-reduces once, saveWorld() the quiesced
  * world, then fork eight sweep points — each restores the blob into
@@ -581,6 +662,7 @@ main(int argc, char **argv)
         {"comm_allreduce_octo", benchCommAllReduce},
         {"fault_storm", benchFaultStorm},
         {"link_occupancy", benchLinkOccupancy},
+        {"cache_lookup", benchCacheLookup},
         {"checkpoint_fork", benchCheckpointFork},
     };
     std::vector<BenchResult> results;
