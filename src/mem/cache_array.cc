@@ -1,5 +1,6 @@
 #include "mem/cache_array.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -9,6 +10,12 @@ namespace ehpsim
 {
 namespace mem
 {
+
+namespace
+{
+/** What line() const reads for a way no page has stored yet. */
+constexpr CacheLine kUnstoredLine{};
+} // anonymous namespace
 
 CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
                        unsigned line_bytes)
@@ -28,60 +35,69 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
     line_mask_ = line_bytes_ - 1;
     line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes_));
     set_mask_ = num_sets_ - 1;
-    lines_.resize(static_cast<std::size_t>(num_sets_) * assoc_);
+    page_sets_ = std::min(num_sets_, 1u << kPageSetBits);
+    pages_.resize(num_sets_ / page_sets_);
 }
 
-std::optional<unsigned>
-CacheArray::lookup(Addr addr)
+void
+CacheArray::grow(Page &p, unsigned width)
 {
-    const Addr tag = lineAlign(addr);
-    CacheLine *base = setBase(addr);
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (base[way].valid && base[way].tag == tag) {
-            base[way].last_use = ++use_counter_;
-            return way;
-        }
+    auto lines = std::make_unique<CacheLine[]>(
+        static_cast<std::size_t>(page_sets_) * width);
+    for (unsigned s = 0; s < page_sets_; ++s) {
+        std::copy_n(p.lines.get() + std::size_t{s} * p.width, p.width,
+                    lines.get() + std::size_t{s} * width);
     }
-    return std::nullopt;
+    p.lines = std::move(lines);
+    p.width = width;
 }
 
 std::optional<unsigned>
 CacheArray::peek(Addr addr) const
 {
     const Addr tag = lineAlign(addr);
-    const CacheLine *base = setBase(addr);
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (base[way].valid && base[way].tag == tag)
+    const unsigned set = setIndex(addr);
+    const Page &p = pageOf(set);
+    const CacheLine *base = setBase(p, set);
+    for (unsigned way = 0; way < p.width; ++way) {
+        if (base[way].tag == tag && base[way].valid)
             return way;
     }
     return std::nullopt;
 }
 
-CacheLine &
-CacheArray::line(Addr addr, unsigned way)
-{
-    return setBase(addr)[way];
-}
-
 const CacheLine &
 CacheArray::line(Addr addr, unsigned way) const
 {
-    return setBase(addr)[way];
+    const unsigned set = setIndex(addr);
+    const Page &p = pageOf(set);
+    return way < p.width ? setBase(p, set)[way] : kUnstoredLine;
 }
 
 std::optional<CacheLine>
 CacheArray::fill(Addr addr, bool dirty, bool prefetched)
 {
-    // The first invalid way, else the least recently used one.
-    CacheLine *base = setBase(addr);
+    // The first invalid way, else the least recently used one. The
+    // ways past the page's width are the first invalid ones when
+    // every stored way is valid: widen the page and take the first.
+    const unsigned set = setIndex(addr);
+    Page &p = pageOf(set);
+    CacheLine *base = setBase(p, set);
     unsigned way = 0;
-    for (unsigned w = 0; w < assoc_; ++w) {
+    bool free = false;
+    for (unsigned w = 0; w < p.width; ++w) {
         if (!base[w].valid) {
             way = w;
+            free = true;
             break;
         }
         if (base[w].last_use < base[way].last_use)
             way = w;
+    }
+    if (!free && p.width < assoc_) {
+        way = p.width;
+        grow(p, std::min(assoc_, std::max(1u, 2 * p.width)));
+        base = setBase(p, set);
     }
     CacheLine &l = base[way];
     std::optional<CacheLine> victim;
@@ -111,12 +127,18 @@ CacheArray::invalidate(Addr addr)
 std::vector<CacheLine>
 CacheArray::flushAll()
 {
+    // Each page is set-major, so a walk of the pages in order visits
+    // the lines in set-major order, as an eager array would.
     std::vector<CacheLine> dirty;
-    for (auto &l : lines_) {
-        if (l.valid && l.dirty)
-            dirty.push_back(l);
-        l.valid = false;
-        l.dirty = false;
+    for (Page &p : pages_) {
+        const std::size_t n = std::size_t{page_sets_} * p.width;
+        for (std::size_t i = 0; i < n; ++i) {
+            CacheLine &l = p.lines[i];
+            if (l.valid && l.dirty)
+                dirty.push_back(l);
+            l.valid = false;
+            l.dirty = false;
+        }
     }
     return dirty;
 }
@@ -125,10 +147,22 @@ std::uint64_t
 CacheArray::numValid() const
 {
     std::uint64_t n = 0;
-    for (const auto &l : lines_) {
-        if (l.valid)
-            ++n;
+    for (const Page &p : pages_) {
+        const std::size_t lines = std::size_t{page_sets_} * p.width;
+        for (std::size_t i = 0; i < lines; ++i) {
+            if (p.lines[i].valid)
+                ++n;
+        }
     }
+    return n;
+}
+
+std::uint64_t
+CacheArray::residentLines() const
+{
+    std::uint64_t n = 0;
+    for (const Page &p : pages_)
+        n += std::uint64_t{page_sets_} * p.width;
     return n;
 }
 
@@ -140,15 +174,19 @@ CacheArray::snapshot(SnapshotWriter &w) const
     w.putU32(line_bytes_);
     w.putU64(use_counter_);
     w.putU64(numValid());
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        const CacheLine &l = lines_[i];
-        if (!l.valid)
-            continue;
-        w.putU64(i);
-        w.putU64(l.tag);
-        w.putBool(l.dirty);
-        w.putU64(l.last_use);
-        w.putBool(l.prefetched);
+    for (unsigned set = 0; set < num_sets_; ++set) {
+        const Page &p = pageOf(set);
+        const CacheLine *base = setBase(p, set);
+        for (unsigned way = 0; way < p.width; ++way) {
+            const CacheLine &l = base[way];
+            if (!l.valid)
+                continue;
+            w.putU64(std::uint64_t{set} * assoc_ + way);
+            w.putU64(l.tag);
+            w.putBool(l.dirty);
+            w.putU64(l.last_use);
+            w.putBool(l.prefetched);
+        }
     }
 }
 
@@ -165,26 +203,33 @@ CacheArray::restore(SnapshotReader &r)
               " B lines — checkpoint/config mismatch");
     }
     use_counter_ = r.getU64();
-    lines_.assign(lines_.size(), CacheLine{});
+    for (Page &p : pages_)
+        p = Page{};
+    const std::uint64_t capacity = std::uint64_t{num_sets_} * assoc_;
     const std::uint64_t valid = r.getU64();
-    if (valid > lines_.size())
+    if (valid > capacity)
         fatal("cache snapshot holds ", valid, " lines but the array has ",
-              lines_.size(), " — corrupt checkpoint");
+              capacity, " — corrupt checkpoint");
     std::uint64_t next = 0;     // lowest index the next line may take
     for (std::uint64_t i = 0; i < valid; ++i) {
         const std::uint64_t idx = r.getU64();
-        if (idx < next || idx >= lines_.size())
+        if (idx < next || idx >= capacity)
             fatal("cache snapshot line index ", idx,
                   " out of order or out of range — corrupt checkpoint");
         next = idx + 1;
         const Addr tag = r.getU64();
-        if ((tag & line_mask_) != 0 || setIndex(tag) != idx / assoc_)
+        const auto set = static_cast<unsigned>(idx / assoc_);
+        const auto way = static_cast<unsigned>(idx % assoc_);
+        if ((tag & line_mask_) != 0 || setIndex(tag) != set)
             fatal("cache snapshot tag ", tag, " cannot sit at line ",
                   idx, " — corrupt checkpoint");
         if (peek(tag))
             fatal("cache snapshot repeats tag ", tag,
                   " in one set — corrupt checkpoint");
-        CacheLine &l = lines_[idx];
+        Page &p = pageOf(set);
+        if (way >= p.width)
+            grow(p, way + 1);
+        CacheLine &l = setBase(p, set)[way];
         l.tag = tag;
         l.valid = true;
         l.dirty = r.getBool();
@@ -201,12 +246,12 @@ bool
 CacheArray::tagsUnique() const
 {
     for (unsigned set = 0; set < num_sets_; ++set) {
-        const CacheLine *base =
-            &lines_[static_cast<std::size_t>(set) * assoc_];
-        for (unsigned i = 0; i < assoc_; ++i) {
+        const Page &p = pageOf(set);
+        const CacheLine *base = setBase(p, set);
+        for (unsigned i = 0; i < p.width; ++i) {
             if (!base[i].valid)
                 continue;
-            for (unsigned j = i + 1; j < assoc_; ++j) {
+            for (unsigned j = i + 1; j < p.width; ++j) {
                 if (base[j].valid && base[j].tag == base[i].tag)
                     return false;
             }

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 
+#include "core/apu_system.hh"
 #include "mem/cache.hh"
 #include "mem/cache_array.hh"
 #include "mem/dram.hh"
@@ -16,6 +21,9 @@
 #include "mem/infinity_cache.hh"
 #include "mem/interleave.hh"
 #include "sim/rng.hh"
+#include "sim/snapshot.hh"
+#include "sim/units.hh"
+#include "soc/product_config.hh"
 
 using namespace ehpsim;
 using namespace ehpsim::mem;
@@ -263,6 +271,290 @@ TEST(CacheArray, RejectsBadGeometry)
     EXPECT_THROW(CacheArray(100, 4, 64), std::runtime_error);
     EXPECT_THROW(CacheArray(8192, 0, 64), std::runtime_error);
     EXPECT_THROW(CacheArray(8192, 4, 48), std::runtime_error);
+}
+
+namespace
+{
+
+/**
+ * The eagerly allocated set-major tag array CacheArray grew out of:
+ * every line exists from construction, a fill takes the first
+ * invalid way, else the least recently used one, and a snapshot
+ * writes format 2 by hand.
+ */
+class EagerArray
+{
+  public:
+    EagerArray(std::uint64_t size, unsigned assoc, unsigned line)
+        : size_(size), assoc_(assoc), line_(line),
+          sets_(size / (std::uint64_t{assoc} * line)),
+          lines_(sets_ * assoc)
+    {}
+
+    std::optional<unsigned>
+    lookup(Addr a)
+    {
+        const auto way = peek(a);
+        if (way)
+            set(a)[*way].last_use = ++clock_;
+        return way;
+    }
+
+    std::optional<unsigned>
+    peek(Addr a)
+    {
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (set(a)[w].valid && set(a)[w].tag == a / line_ * line_)
+                return w;
+        }
+        return std::nullopt;
+    }
+
+    CacheLine &line(Addr a, unsigned way) { return set(a)[way]; }
+
+    std::optional<CacheLine>
+    fill(Addr a, bool dirty, bool prefetched)
+    {
+        CacheLine *base = set(a);
+        unsigned way = 0;
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (!base[w].valid) {
+                way = w;
+                break;
+            }
+            if (base[w].last_use < base[way].last_use)
+                way = w;
+        }
+        std::optional<CacheLine> victim;
+        if (base[way].valid)
+            victim = base[way];
+        base[way] = {a / line_ * line_, ++clock_, true, dirty,
+                     prefetched};
+        return victim;
+    }
+
+    std::optional<CacheLine>
+    invalidate(Addr a)
+    {
+        const auto way = peek(a);
+        if (!way)
+            return std::nullopt;
+        const CacheLine old = set(a)[*way];
+        set(a)[*way].valid = set(a)[*way].dirty = false;
+        return old;
+    }
+
+    std::vector<CacheLine>
+    flushAll()
+    {
+        std::vector<CacheLine> dirty;
+        for (CacheLine &l : lines_) {
+            if (l.valid && l.dirty)
+                dirty.push_back(l);
+            l.valid = l.dirty = false;
+        }
+        return dirty;
+    }
+
+    std::uint64_t
+    numValid() const
+    {
+        return std::count_if(lines_.begin(), lines_.end(),
+                             [](const CacheLine &l) { return l.valid; });
+    }
+
+    std::string
+    snapshot() const
+    {
+        SnapshotWriter w;
+        w.putU64(size_);
+        w.putU32(assoc_);
+        w.putU32(line_);
+        w.putU64(clock_);
+        w.putU64(numValid());
+        for (std::size_t i = 0; i < lines_.size(); ++i) {
+            if (!lines_[i].valid)
+                continue;
+            w.putU64(i);
+            w.putU64(lines_[i].tag);
+            w.putBool(lines_[i].dirty);
+            w.putU64(lines_[i].last_use);
+            w.putBool(lines_[i].prefetched);
+        }
+        return w.blob();
+    }
+
+  private:
+    CacheLine *
+    set(Addr a)
+    {
+        return &lines_[a / line_ % sets_ * assoc_];
+    }
+
+    std::uint64_t size_;
+    unsigned assoc_;
+    unsigned line_;
+    std::uint64_t sets_;
+    std::uint64_t clock_ = 0;
+    std::vector<CacheLine> lines_;
+};
+
+std::string
+snapshotOf(const CacheArray &a)
+{
+    SnapshotWriter w;
+    a.snapshot(w);
+    return w.blob();
+}
+
+void
+expectSameLine(const std::optional<CacheLine> &got,
+               const std::optional<CacheLine> &want, int op)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+    if (!want)
+        return;
+    EXPECT_EQ(got->tag, want->tag) << "op " << op;
+    EXPECT_EQ(got->last_use, want->last_use) << "op " << op;
+    EXPECT_EQ(got->valid, want->valid) << "op " << op;
+    EXPECT_EQ(got->dirty, want->dirty) << "op " << op;
+    EXPECT_EQ(got->prefetched, want->prefetched) << "op " << op;
+}
+
+} // anonymous namespace
+
+class CacheArrayDiff
+    : public ::testing::TestWithParam<std::tuple<unsigned, std::uint64_t>>
+{
+};
+
+TEST_P(CacheArrayDiff, GrownTagsMatchEagerArray)
+{
+    // A seeded stream of every operation into the grown array and the
+    // eager reference: way choices, victims, flushes, valid counts
+    // and snapshot blobs must agree, across a snapshot -> restore
+    // into a fresh array midway. Most traffic lands in a few pages,
+    // so some pages stay narrow or empty while others fill up.
+    const auto [assoc, seed] = GetParam();
+    constexpr unsigned kSets = 512, kLine = 64;
+    const std::uint64_t size = std::uint64_t{kSets} * assoc * kLine;
+    auto arr = std::make_unique<CacheArray>(size, assoc, kLine);
+    EagerArray ref(size, assoc, kLine);
+    Rng rng(seed);
+    const auto addr = [&] {
+        // A hot window of 16 sets over 4x their capacity, else
+        // anywhere in 8x the array.
+        if (rng.nextBool(0.7)) {
+            return Addr{128} * kLine + rng.nextBounded(16) * kLine +
+                   rng.nextBounded(4 * assoc) * kSets * kLine;
+        }
+        return Addr{rng.nextBounded(8 * size)};
+    };
+    for (int op = 0; op < 30000; ++op) {
+        const Addr a = addr();
+        const std::uint64_t kind = rng.nextBounded(100);
+        if (kind < 60) {
+            const auto way = arr->lookup(a);
+            ASSERT_EQ(way, ref.lookup(a)) << "op " << op;
+            if (!way) {
+                const bool dirty = rng.nextBool(0.3);
+                const bool pf = rng.nextBool(0.2);
+                expectSameLine(arr->fill(a, dirty, pf),
+                               ref.fill(a, dirty, pf), op);
+            } else if (rng.nextBool(0.3)) {
+                arr->line(a, *way).dirty = true;
+                ref.line(a, *way).dirty = true;
+            }
+        } else if (kind < 72) {
+            ASSERT_EQ(arr->peek(a), ref.peek(a)) << "op " << op;
+        } else if (kind < 84) {
+            const auto way = static_cast<unsigned>(rng.nextBounded(assoc));
+            const CacheArray &view = *arr;
+            const CacheLine &got = view.line(a, way);
+            ASSERT_EQ(got.valid, ref.line(a, way).valid) << "op " << op;
+            if (got.valid)
+                expectSameLine(got, ref.line(a, way), op);
+        } else if (kind < 96) {
+            expectSameLine(arr->invalidate(a), ref.invalidate(a), op);
+        } else if (rng.nextBool(0.01)) {
+            const auto got = arr->flushAll();
+            const auto want = ref.flushAll();
+            ASSERT_EQ(got.size(), want.size()) << "op " << op;
+            for (std::size_t i = 0; i < got.size(); ++i)
+                expectSameLine(got[i], want[i], op);
+        }
+        if (op % 1000 == 999) {
+            ASSERT_EQ(arr->numValid(), ref.numValid()) << "op " << op;
+            const std::string blob = snapshotOf(*arr);
+            ASSERT_EQ(blob, ref.snapshot()) << "op " << op;
+            EXPECT_LE(arr->residentLines(), std::uint64_t{kSets} * assoc);
+            if (op == 14999) {
+                arr = std::make_unique<CacheArray>(size, assoc, kLine);
+                SnapshotReader r(blob);
+                arr->restore(r);
+                ASSERT_EQ(snapshotOf(*arr), blob);
+            }
+        }
+    }
+    EXPECT_TRUE(arr->tagsUnique());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AssocAndSeed, CacheArrayDiff,
+    ::testing::Combine(::testing::Values(1u, 4u, 12u, 16u),
+                       ::testing::Values(std::uint64_t{1},
+                                         std::uint64_t{20240624})));
+
+TEST(CacheArray, RestoreGrowsAnUntouchedPage)
+{
+    // 256 sets x 8 ways: four pages of 64 sets. The blob's only line
+    // sits in the last way of set 130 (page 2), which nothing filled.
+    CacheArray arr(256 * 8 * 64, 8, 64);
+    arr.fill(0x40, true);       // page 0, restore() must drop it
+    const Addr tag = Addr{130} * 64 + Addr{3} * 256 * 64;
+    SnapshotWriter w;
+    w.putU64(256 * 8 * 64);
+    w.putU32(8);
+    w.putU32(64);
+    w.putU64(5);
+    w.putU64(1);
+    w.putU64(130 * 8 + 7);
+    w.putU64(tag);
+    w.putBool(true);
+    w.putU64(4);
+    w.putBool(false);
+    SnapshotReader r(w.blob());
+    arr.restore(r);
+    EXPECT_EQ(arr.numValid(), 1u);
+    EXPECT_EQ(arr.residentLines(), 64u * 8);
+    EXPECT_EQ(arr.peek(tag), std::optional<unsigned>(7));
+    EXPECT_FALSE(arr.peek(0x40).has_value());
+    const CacheArray &view = arr;
+    EXPECT_FALSE(view.line(0x40, 0).valid);     // a page never grown
+    EXPECT_TRUE(view.line(tag, 7).dirty);
+    EXPECT_EQ(snapshotOf(arr), w.blob());
+}
+
+TEST(CacheArray, FillGrowsOnlyTheTouchedPage)
+{
+    CacheArray arr(2 * MiB, 16, 128);       // 1024 sets, 16 pages
+    EXPECT_EQ(arr.residentLines(), 0u);
+    const CacheArray &view = arr;
+    for (unsigned way = 0; way < 16; ++way)
+        EXPECT_FALSE(view.line(0x12345 * 128, way).valid);
+    arr.fill(0x80, false);
+    EXPECT_EQ(arr.residentLines(), 64u);
+    // A second line in the same set doubles the page's width; a
+    // third fits the widened page.
+    arr.fill(0x80 + 1024 * 128, false);
+    EXPECT_EQ(arr.residentLines(), 128u);
+    arr.fill(0x100, false);
+    EXPECT_EQ(arr.residentLines(), 128u);
+    // Filling every way of one set caps the width at the assoc.
+    for (Addr k = 2; k < 40; ++k)
+        arr.fill(0x80 + k * 1024 * 128, false);
+    EXPECT_EQ(arr.residentLines(), 64u * 16);
+    EXPECT_EQ(arr.numValid(), 17u);
 }
 
 // ---------------------------------------------------------------------
@@ -513,6 +805,50 @@ TEST(HbmSubsystem, LargeRequestFansOut)
     for (Addr a = 0; a < 64 * 1024; a += 4096)
         stacks.insert(sys.interleave().stackOf(a));
     EXPECT_GT(stacks.size(), 4u);
+}
+
+namespace
+{
+
+/** Tag lines resident in every cache under @p g. */
+std::uint64_t
+residentTagLines(const stats::StatGroup &g, unsigned &caches)
+{
+    std::uint64_t n = 0;
+    if (const auto *c = dynamic_cast<const Cache *>(&g)) {
+        n += c->array().residentLines();
+        ++caches;
+    } else if (const auto *s = dynamic_cast<const InfinityCacheSlice *>(&g)) {
+        n += s->array().residentLines();
+        ++caches;
+    }
+    for (const stats::StatGroup *child : g.groupList())
+        n += residentTagLines(*child, caches);
+    return n;
+}
+
+} // anonymous namespace
+
+TEST(HbmSubsystem, BuildAllocatesNoTagLines)
+{
+    SimObject root(nullptr, "root");
+    HbmSubsystem sys(&root, "hbm", HbmSubsystemParams{});
+    unsigned caches = 0;
+    EXPECT_EQ(residentTagLines(root, caches), 0u);
+    EXPECT_EQ(caches, 128u);
+    // One access grows one page of the one slice it reached; the
+    // next-line prefetches land in the same page.
+    sys.access(0, 0, 64, false);
+    caches = 0;
+    EXPECT_EQ(residentTagLines(root, caches), 64u);
+}
+
+TEST(ApuSystemTags, Mi300aBuildAllocatesNoTagLines)
+{
+    core::ApuSystem sys(soc::mi300aConfig());
+    unsigned caches = 0;
+    EXPECT_EQ(residentTagLines(sys, caches), 0u);
+    EXPECT_GT(caches, 128u);    // the slices plus GPU and CPU caches
 }
 
 TEST(HbmSubsystem, NoCacheModeMatchesMi250x)
