@@ -213,6 +213,12 @@ Network::path(NodeId src, NodeId dst) const
 const LinkRoute &
 Network::linkRoute(NodeId src, NodeId dst) const
 {
+    // A resolved route implies a valid path: both caches are cleared
+    // together, so a hit skips path()'s checks.
+    if (src < link_routes_.size() && dst < link_routes_[src].size() &&
+        !link_routes_[src][dst].links.empty()) {
+        return link_routes_[src][dst];
+    }
     const auto &p = path(src, dst);
     auto &per_src = link_routes_[src];
     if (per_src.empty())
