@@ -25,6 +25,10 @@
  *   cache_lookup     the cache layer alone: a seeded address stream
  *                    through one XCD L2 over one Infinity Cache
  *                    slice and its HBM3 channel
+ *   apu_triad        the package memory path: one STREAM triad GPU
+ *                    phase on a freshly built MI300A ApuSystem, from
+ *                    cold caches through the XCD L2s, the fabric,
+ *                    the Infinity Cache slices and HBM
  *   checkpoint_fork  the sweep fast-forward cycle (DESIGN.md §16):
  *                    warm one world with ring all-reduces, save it,
  *                    then fork eight sweep points by restoring the
@@ -52,6 +56,7 @@
 #include <vector>
 
 #include "comm/comm_group.hh"
+#include "core/apu_system.hh"
 #include "fabric/link.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
@@ -66,6 +71,8 @@
 #include "sim/units.hh"
 #include "sim/wall_timer.hh"
 #include "soc/node_topology.hh"
+#include "soc/product_config.hh"
+#include "workloads/generators.hh"
 
 using namespace ehpsim;
 
@@ -101,6 +108,8 @@ struct Sizes
     std::uint64_t link_stripes;
     // cache_lookup
     std::uint64_t cache_accesses;
+    // apu_triad: elements per triad array
+    std::uint64_t triad_elems;
 };
 
 Sizes
@@ -108,9 +117,9 @@ sizesFor(bool quick)
 {
     if (quick)
         return {2'000, 20,        64,  1'000, 16 * MiB, 1, 16 * MiB,
-                512,   200'000,   100'000};
+                512,   200'000,   100'000, 1 << 17};
     return {20'000, 100,      256,   5'000,     64 * MiB,
-            4,      64 * MiB, 8'192, 2'000'000, 2'000'000};
+            4,      64 * MiB, 8'192, 2'000'000, 2'000'000, 1 << 21};
 }
 
 /** The comm benches' communicator: 1 MiB pipelining chunks. */
@@ -519,6 +528,57 @@ benchCacheLookup(const Sizes &sz, unsigned repeat)
 }
 
 /**
+ * The package memory path an ApuSystem GPU phase takes: one STREAM
+ * triad (two arrays read, one written) on a freshly built MI300A,
+ * from cold caches. Its stripes cross the XCD L2s, the package
+ * fabric, the Infinity Cache slices and the HBM channels. The wall
+ * time covers the run, not the build.
+ */
+BenchResult
+benchApuTriad(const Sizes &sz, unsigned repeat)
+{
+    BenchResult r;
+    r.name = "apu_triad";
+    const workloads::Workload triad =
+        workloads::streamTriad(sz.triad_elems);
+    double best = -1;
+    std::uint64_t transfers = 0, mall_hits = 0, mall_misses = 0;
+    std::uint64_t hbm_bytes = 0, last_complete = 0;
+    for (unsigned rep = 0; rep < repeat; ++rep) {
+        core::ApuSystem sys(soc::mi300aConfig());
+        WallTimer wt;
+        sys.run(triad);
+        const double s = wt.seconds();
+        if (best < 0 || s < best)
+            best = s;
+        const auto count = [](const stats::Scalar &v) {
+            return static_cast<std::uint64_t>(v.value());
+        };
+        soc::Package &pkg = sys.package();
+        transfers = 0;
+        for (const fabric::Link *l : pkg.network()->allLinks())
+            transfers += count(l->transfers);
+        mall_hits = mall_misses = hbm_bytes = 0;
+        for (unsigned c = 0; c < pkg.memMap().numChannels(); ++c) {
+            mall_hits += count(pkg.slice(c)->hits);
+            mall_misses += count(pkg.slice(c)->misses);
+            hbm_bytes += count(pkg.channel(c)->bytes_served);
+        }
+        last_complete = ticksFromSeconds(sys.elapsedSeconds());
+    }
+    r.det = {{"triad_elems", sz.triad_elems},
+             {"fabric_transfers", transfers},
+             {"mall_hits", mall_hits},
+             {"mall_misses", mall_misses},
+             {"hbm_bytes", hbm_bytes},
+             {"last_complete", last_complete}};
+    r.best_seconds = best;
+    r.events_per_sec = static_cast<double>(transfers) / best;
+    r.ops_per_sec = r.events_per_sec;
+    return r;
+}
+
+/**
  * The sweep fast-forward cycle (DESIGN.md §16): simulate a shared
  * warmup prefix of ring all-reduces once, saveWorld() the quiesced
  * world, then fork eight sweep points — each restores the blob into
@@ -663,6 +723,7 @@ main(int argc, char **argv)
         {"fault_storm", benchFaultStorm},
         {"link_occupancy", benchLinkOccupancy},
         {"cache_lookup", benchCacheLookup},
+        {"apu_triad", benchApuTriad},
         {"checkpoint_fork", benchCheckpointFork},
     };
     std::vector<BenchResult> results;

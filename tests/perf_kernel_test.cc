@@ -76,7 +76,7 @@ TEST(PerfKernel, QuickJsonHasSchemaAndBenchmarks)
     for (const char *name :
          {"schedule_churn", "oneshot_storm", "oneshot_storm_pooled",
           "comm_allreduce_octo", "fault_storm", "link_occupancy",
-          "cache_lookup", "checkpoint_fork"}) {
+          "cache_lookup", "apu_triad", "checkpoint_fork"}) {
         EXPECT_NE(doc.find(std::string("\"name\": \"") + name + "\""),
                   std::string::npos)
             << "missing benchmark " << name;
