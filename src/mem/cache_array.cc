@@ -77,6 +77,8 @@ CacheArray::line(Addr addr, unsigned way) const
 std::optional<CacheLine>
 CacheArray::fill(Addr addr, bool dirty, bool prefetched)
 {
+    if (use_counter_ + 1 >= kClockLimit)
+        fatal("cache LRU clock would reach 2^", CacheLine::kClockBits);
     // The first invalid way, else the least recently used one. The
     // ways past the page's width are the first invalid ones when
     // every stored way is valid: widen the page and take the first.
@@ -203,6 +205,10 @@ CacheArray::restore(SnapshotReader &r)
               " B lines — checkpoint/config mismatch");
     }
     use_counter_ = r.getU64();
+    if (use_counter_ >= kClockLimit)
+        fatal("cache snapshot LRU clock ", use_counter_,
+              " does not fit ", CacheLine::kClockBits,
+              " bits — corrupt checkpoint");
     for (Page &p : pages_)
         p = Page{};
     const std::uint64_t capacity = std::uint64_t{num_sets_} * assoc_;
@@ -233,11 +239,13 @@ CacheArray::restore(SnapshotReader &r)
         l.tag = tag;
         l.valid = true;
         l.dirty = r.getBool();
-        l.last_use = r.getU64();
-        if (l.last_use > use_counter_)
-            fatal("cache snapshot line last used at ", l.last_use,
+        // Checked before it is stored: the field would truncate it.
+        const std::uint64_t last_use = r.getU64();
+        if (last_use > use_counter_)
+            fatal("cache snapshot line last used at ", last_use,
                   " past the LRU clock ", use_counter_,
                   " — corrupt checkpoint");
+        l.last_use = last_use;
         l.prefetched = r.getBool();
     }
 }

@@ -31,18 +31,24 @@ class SnapshotReader;
 namespace mem
 {
 
-/** Per-line metadata. */
+/** Per-line metadata: the tag, then one word holding the LRU
+ *  timestamp and the three flags. */
 struct CacheLine
 {
+    /** log2 of the LRU clock's range; CacheArray never lets its
+     *  clock reach 2^kClockBits. */
+    static constexpr unsigned kClockBits = 61;
+
     Addr tag = 0;
-    std::uint64_t last_use = 0; ///< LRU timestamp
-    bool valid = false;
-    bool dirty = false;
-    bool prefetched = false;    ///< filled by a prefetcher
+    std::uint64_t last_use : kClockBits = 0;    ///< LRU timestamp
+    bool valid : 1 = false;
+    bool dirty : 1 = false;
+    bool prefetched : 1 = false;    ///< filled by a prefetcher
 };
 
-// Multi-MiB arrays hold one of these per line; keep the padding out.
-static_assert(sizeof(CacheLine) == 24, "CacheLine must pack to 24 B");
+// A probe walks a set's lines to compare tags: four lines to a host
+// cache line, so a 16-way set spans 256 B.
+static_assert(sizeof(CacheLine) == 16, "CacheLine must pack to 16 B");
 
 class CacheArray
 {
@@ -87,6 +93,7 @@ class CacheArray
         CacheLine *base = setBase(p, set);
         for (unsigned way = 0; way < p.width; ++way) {
             if (base[way].tag == tag && base[way].valid) {
+                assert(use_counter_ + 1 < kClockLimit);
                 base[way].last_use = ++use_counter_;
                 return way;
             }
@@ -117,7 +124,8 @@ class CacheArray
      * Fill @p addr into a free way of its set, or into the least
      * recently used one. Call only after lookup() or peek() missed
      * on @p addr: fill() does not probe, so filling a resident line
-     * would give the set two copies of it.
+     * would give the set two copies of it. fatal()s rather than let
+     * the LRU clock reach 2^CacheLine::kClockBits.
      * @return the evicted line's previous contents when a valid line
      *         was displaced (for writeback decisions).
      */
@@ -153,13 +161,19 @@ class CacheArray
      * on any line no array could hold: indices not strictly
      * ascending, a tag that is not line-aligned, lies outside its
      * index's set or repeats a tag valid earlier in that set, a last
-     * use past the saved clock, or more lines than the array has.
+     * use past the saved clock, a clock CacheLine::last_use cannot
+     * hold, or more lines than the array has.
      */
     void snapshot(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
     /** @} */
 
   private:
+    /** The LRU clock stays below this, so every timestamp fits
+     *  CacheLine::last_use. */
+    static constexpr std::uint64_t kClockLimit = std::uint64_t{1}
+                                                 << CacheLine::kClockBits;
+
     /** log2 of the sets per page, the grain tag storage grows by. */
     static constexpr unsigned kPageSetBits = 6;
 

@@ -172,7 +172,7 @@ OccupancyTracker::restore(SnapshotReader &r)
             fatal("occupancy snapshot: window ", win,
                   " lies past the last completion (window ",
                   last_window, ")");
-        if (!touched_ || (win >> kPageBits) < first_page_)
+        if (!touched_ || (win >> kWatermarkBits) < first_page_)
             fatal("occupancy snapshot: window ", win,
                   " precedes the first window touched");
         if (!std::isfinite(used) || !(used > 0.0))

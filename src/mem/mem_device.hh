@@ -139,8 +139,10 @@ class DenseWindows
     }
 
     /** log2 of the windows per page; pages are the allocation
-     *  grain. */
-    static constexpr std::uint64_t kPageBits = 9;
+     *  grain. Small, because a dense port loads few windows near
+     *  the ones it touches: on apu_coupled 70% of a 16-window page,
+     *  21% of a 512-window one (DESIGN.md §12). */
+    static constexpr std::uint64_t kPageBits = 4;
 
   private:
     static constexpr std::uint64_t kPageWindows = 1ull << kPageBits;
@@ -407,8 +409,10 @@ class OccupancyTracker
     /** @} */
 
   private:
-    /** The blob's first-touch watermark counts dense pages. */
-    static constexpr std::uint64_t kPageBits = DenseWindows::kPageBits;
+    /** log2 of the windows per unit of the blob's first-touch
+     *  watermark: 512-window units, whatever the dense page size, so
+     *  blobs do not depend on it. */
+    static constexpr std::uint64_t kWatermarkBits = 9;
 
     static Tick
     windowFor(double bytes_per_tick)
@@ -433,8 +437,8 @@ class OccupancyTracker
         const double full = budget - 1e-6;
         const auto put = [&](std::uint64_t a, std::uint64_t b,
                              double v) {
-            if (!touched_ || (a >> kPageBits) < first_page_) {
-                first_page_ = a >> kPageBits;
+            if (!touched_ || (a >> kWatermarkBits) < first_page_) {
+                first_page_ = a >> kWatermarkBits;
                 touched_ = true;
             }
             s.fill(a, b, v, full);
@@ -502,8 +506,8 @@ class OccupancyTracker
     bool use_runs_;
     DenseWindows dense_;
     RunWindows runs_;
-    /** Dense page of the lowest window ever loaded, whichever store
-     *  is in use; kept for the blob format. */
+    /** The lowest window ever loaded, in 2^kWatermarkBits-window
+     *  units, whichever store is in use; kept for the blob format. */
     std::uint64_t first_page_ = 0;
     bool touched_ = false;
     Tick last_done_ = 0;

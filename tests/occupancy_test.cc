@@ -240,53 +240,109 @@ restoreTracker(const std::string &blob, Store store)
     return t;
 }
 
+/** The first-touch watermark a saved tracker carries. */
+std::uint64_t
+blobWatermark(const OccupancyTracker &t)
+{
+    const std::string blob = saveTracker(t, 0);
+    SnapshotReader r(blob);
+    r.getF64();     // rate
+    r.getU64();     // window
+    r.getU64();     // last completion
+    EXPECT_TRUE(r.getBool());   // touched
+    return r.getU64();
+}
+
 } // anonymous namespace
+
+TEST(OccupancyBlob, WatermarkCounts512WindowUnits)
+{
+    // The watermark is the lowest window loaded, in 512-window units
+    // whatever the dense page size, so blobs do not change with it.
+    for (const Store store : {Store::dense, Store::runs}) {
+        OccupancyTracker t(0.064, store);   // 16'000-tick windows
+        t.occupy(1000 * 16'000, 64);
+        EXPECT_EQ(blobWatermark(t), 1u) << storeName(store);
+        t.occupy(700 * 16'000, 64);
+        EXPECT_EQ(blobWatermark(t), 1u) << storeName(store);
+        t.occupy(300 * 16'000, 64);
+        EXPECT_EQ(blobWatermark(t), 0u) << storeName(store);
+    }
+}
 
 class OccupancyStores : public ::testing::TestWithParam<std::uint64_t>
 {
+  protected:
+    /**
+     * The same seeded traffic through both stores: bulk chunks of
+     * 1 KiB-4 MiB and point requests of at most one window, arriving
+     * out of order, with a mid-stream derate and a snapshot ->
+     * restore at a random horizon. Completion ticks, window loads
+     * and the blobs themselves must agree exactly. With
+     * @p reach_back the stream starts late and one request in ten
+     * lands one to three dense pages before the lowest window loaded
+     * so far, so the dense page table grows at its front many times.
+     */
+    static void
+    compareStores(std::uint64_t seed, bool reach_back)
+    {
+        Rng rng(seed);
+        const double bw =
+            0.064 * static_cast<double>(1 + rng.nextBounded(4));
+        OccupancyTracker dense(bw, Store::dense);
+        OccupancyTracker runs(bw, Store::runs);
+        const std::uint64_t window_bytes = 1024;
+        const Tick page_ticks = static_cast<Tick>(1024.0 / bw)
+                                << DenseWindows::kPageBits;
+        Tick clock = reach_back ? 1'000'000'000 + rng.nextBounded(
+                                                      1'000'000'000)
+                                : 0;
+        Tick lowest = clock;
+        Tick horizon = 0;   // no request starts before a restore's horizon
+        for (int i = 0; i < 1200; ++i) {
+            if (i == 400) {
+                const double f = 0.25 + 0.75 * rng.nextDouble();
+                dense.setBandwidth(bw * f);
+                runs.setBandwidth(bw * f);
+            }
+            if (i == 800) {
+                horizon = clock > 0 ? rng.nextBounded(clock) : 0;
+                const std::string a = saveTracker(dense, horizon);
+                const std::string b = saveTracker(runs, horizon);
+                ASSERT_EQ(a, b) << "blobs differ at horizon " << horizon;
+                dense = restoreTracker(a, Store::dense);
+                runs = restoreTracker(a, Store::runs);
+            }
+            clock += rng.nextBounded(40'000'000);
+            const Tick back = rng.nextBounded(400'000'000);
+            Tick when = clock > back ? clock - back : 0;
+            if (reach_back && rng.nextBool(0.1)) {
+                const Tick behind = (1 + rng.nextBounded(3)) * page_ticks +
+                                    rng.nextBounded(page_ticks);
+                when = lowest > behind ? lowest - behind : 0;
+            }
+            when = std::max(horizon, when);
+            lowest = std::min(lowest, when);
+            const std::uint64_t bytes =
+                rng.nextBool(0.3) ? 1024 + rng.nextBounded(4 * MiB - 1024)
+                                  : 1 + rng.nextBounded(window_bytes);
+            const Tick d = dense.occupy(when, bytes);
+            const Tick r = runs.occupy(when, bytes);
+            ASSERT_EQ(d, r) << "request " << i << ": " << bytes
+                            << " B at " << when;
+        }
+        EXPECT_EQ(dense.nextFree(), runs.nextFree());
+        EXPECT_EQ(dense.windowLoads(), runs.windowLoads());
+    }
 };
 
 TEST_P(OccupancyStores, RunStoreMatchesDenseStore)
 {
-    // The same seeded traffic through both stores: bulk chunks of
-    // 1 KiB-4 MiB and point requests of at most one window, arriving
-    // out of order, with a mid-stream derate and a snapshot ->
-    // restore at a random horizon. Completion ticks, window loads
-    // and the blobs themselves must agree exactly.
-    Rng rng(GetParam());
-    const double bw = 0.064 * static_cast<double>(1 + rng.nextBounded(4));
-    OccupancyTracker dense(bw, Store::dense);
-    OccupancyTracker runs(bw, Store::runs);
-    const std::uint64_t window_bytes = 1024;
-    Tick clock = 0;
-    Tick horizon = 0;   // no request starts before a restore's horizon
-    for (int i = 0; i < 1200; ++i) {
-        if (i == 400) {
-            const double f = 0.25 + 0.75 * rng.nextDouble();
-            dense.setBandwidth(bw * f);
-            runs.setBandwidth(bw * f);
-        }
-        if (i == 800) {
-            horizon = clock > 0 ? rng.nextBounded(clock) : 0;
-            const std::string a = saveTracker(dense, horizon);
-            const std::string b = saveTracker(runs, horizon);
-            ASSERT_EQ(a, b) << "blobs differ at horizon " << horizon;
-            dense = restoreTracker(a, Store::dense);
-            runs = restoreTracker(a, Store::runs);
-        }
-        clock += rng.nextBounded(40'000'000);
-        const Tick back = rng.nextBounded(400'000'000);
-        const Tick when = std::max(horizon, clock > back ? clock - back : 0);
-        const std::uint64_t bytes =
-            rng.nextBool(0.3) ? 1024 + rng.nextBounded(4 * MiB - 1024)
-                              : 1 + rng.nextBounded(window_bytes);
-        const Tick d = dense.occupy(when, bytes);
-        const Tick r = runs.occupy(when, bytes);
-        ASSERT_EQ(d, r) << "request " << i << ": " << bytes << " B at "
-                        << when;
+    for (const bool reach_back : {false, true}) {
+        SCOPED_TRACE(reach_back ? "late start, reaching back"
+                                : "from tick 0");
+        compareStores(GetParam(), reach_back);
     }
-    EXPECT_EQ(dense.nextFree(), runs.nextFree());
-    EXPECT_EQ(dense.windowLoads(), runs.windowLoads());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OccupancyStores,

@@ -497,6 +497,15 @@ TEST(SnapshotErrors, ImpossibleCacheBlobsAreFatal)
         [](CacheBlob &b) { b.lines[1].tag = 0x000; });
     add("last use past the clock",
         [](CacheBlob &b) { b.lines[2].last_use = 10; });
+    // Stored as is, the 61-bit field would truncate both to legal
+    // values.
+    add("clock past 61 bits", [](CacheBlob &b) {
+        b.use_counter = std::uint64_t{1} << mem::CacheLine::kClockBits;
+    });
+    add("last use past 61 bits", [](CacheBlob &b) {
+        b.lines[2].last_use =
+            (std::uint64_t{1} << mem::CacheLine::kClockBits) + 9;
+    });
     add("more lines than the array holds",
         [](CacheBlob &b) { b.count = 9; });
 
@@ -510,6 +519,19 @@ TEST(SnapshotErrors, ImpossibleCacheBlobsAreFatal)
         EXPECT_THROW(restoreInto(a, blob.bytes()), std::runtime_error)
             << what;
     }
+}
+
+TEST(SnapshotErrors, FillStopsBeforeTheLruClockWraps)
+{
+    // A clock one short of 2^61 - 1 leaves room for one more fill.
+    CacheBlob b;
+    b.use_counter = (std::uint64_t{1} << mem::CacheLine::kClockBits) - 2;
+    CacheArray a(512, 2, 64);
+    ASSERT_NO_THROW(restoreInto(a, b.bytes()));
+    ASSERT_NO_THROW(a.fill(0x040, false));
+    EXPECT_EQ(a.line(0x040, *a.peek(0x040)).last_use,
+              b.use_counter + 1);
+    EXPECT_THROW(a.fill(0x0c0, false), std::runtime_error);
 }
 
 TEST(SnapshotErrors, FlippedCacheByteIsFatalOrHarmless)
