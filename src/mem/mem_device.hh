@@ -161,7 +161,8 @@ class DenseWindows
 
     /** The page holding window @p w, allocating it (and any page
      *  table growth, including in front of the first touch) on
-     *  demand. */
+     *  demand. The front grows by at least the table's length (down
+     *  to page 0), so a step back costs amortized O(1). */
     Page &
     pageFor(std::uint64_t w)
     {
@@ -169,13 +170,15 @@ class DenseWindows
         if (pages_.empty())
             base_page_ = p;
         if (p < base_page_) {
-            const std::uint64_t add = base_page_ - p;
+            const std::uint64_t add = std::min<std::uint64_t>(
+                base_page_,
+                std::max<std::uint64_t>(base_page_ - p, pages_.size()));
             std::vector<std::unique_ptr<Page>> grown(pages_.size() +
                                                      add);
             std::move(pages_.begin(), pages_.end(),
                       grown.begin() + add);
             pages_ = std::move(grown);
-            base_page_ = p;
+            base_page_ -= add;
         }
         const std::uint64_t idx = p - base_page_;
         if (idx >= pages_.size())
@@ -233,7 +236,8 @@ class DenseWindows
         return cur;
     }
 
-    /** Page table; index 0 is @c base_page_ (first page touched). */
+    /** Page table; index 0 is @c base_page_, at or before the first
+     *  page touched. */
     std::vector<std::unique_ptr<Page>> pages_;
     std::uint64_t base_page_ = 0;
 };

@@ -34,8 +34,7 @@ void
 EventPool::release(PoolEvent *ev)
 {
     // Destroy the inline callable eagerly — captured resources
-    // (shared_ptrs, buffers) must not outlive the firing, exactly as
-    // deleting a LambdaEvent would release them.
+    // (shared_ptrs, buffers) must not outlive the firing.
     ev->destroy_(ev->store_);
     ev->invoke_ = nullptr;
     ev->destroy_ = nullptr;
@@ -61,8 +60,8 @@ EventQueue::~EventQueue()
     // the pool's slabs, but the inline callables still need their
     // destructors run.
     for (const Entry &e : heap_) {
-        if (e.ev->selfDeleting())
-            releaseOneShot(e.ev);
+        if (e.ev->pooled_)
+            pool_.release(static_cast<PoolEvent *>(e.ev));
     }
 }
 
@@ -188,14 +187,10 @@ EventQueue::scheduleLambda(Tick when, std::function<void()> fn,
 void
 EventQueue::killEntry(Event *ev)
 {
-    // True removal: the entry leaves the heap (or the in-flight
-    // dispatch batch) right now, while @p ev is still live, so the
-    // owner may free the event the moment this returns.
-    const std::size_t idx = ev->heap_index_;
-    if (idx & Event::batchFlag)
-        batch_[idx & ~Event::batchFlag].ev = nullptr;
-    else
-        removeAt(idx);
+    // True removal: the entry leaves the heap right now, while @p ev
+    // is still live, so the owner may free the event the moment this
+    // returns.
+    removeAt(ev->heap_index_);
     ev->heap_index_ = Event::notQueued;
     ev->scheduled_ = false;
     --live_count_;
@@ -206,10 +201,9 @@ EventQueue::deschedule(Event *ev)
 {
     if (!ev->scheduled_)
         panic("descheduling an event that is not scheduled");
-    if (ev->selfDeleting()) {
-        panic("descheduling a self-deleting event would leak it: the "
-              "queue only deletes events it processes; use "
-              "reschedule() or let it fire");
+    if (ev->pooled_) {
+        panic("descheduling a queue-owned one-shot would leak it: the "
+              "queue only reclaims events it fires");
     }
     killEntry(ev);
 }
@@ -217,20 +211,9 @@ EventQueue::deschedule(Event *ev)
 void
 EventQueue::reschedule(Event *ev, Tick when)
 {
-    // Deliberately not routed through deschedule(): rescheduling a
-    // self-deleting event is safe (it still fires exactly once).
     if (ev->scheduled_)
         killEntry(ev);
     schedule(ev, when);
-}
-
-void
-EventQueue::releaseOneShot(Event *ev)
-{
-    if (ev->pooled_)
-        pool_.release(static_cast<PoolEvent *>(ev));
-    else
-        delete ev;
 }
 
 void
@@ -245,21 +228,27 @@ EventQueue::fire(Event *ev)
     ev->scheduled_ = false;
     --live_count_;
     ++num_processed_;
-    if (ev->selfDeleting()) {
-        // Reclaim the event even when process() throws (a fatal() on
-        // an error path propagates through here).
-        try {
-            ev->process();
-        } catch (...) {
-            if (!ev->scheduled_)
-                releaseOneShot(ev);
-            throw;
+    // Ends the dispatch on both exits of process() — a fatal() on an
+    // error path propagates through here. A pooled one-shot is always
+    // reclaimed: no caller holds it, so none can have rescheduled it.
+    // A caller-owned event is not touched once process() starts (it
+    // may free itself).
+    PoolEvent *const oneshot =
+        ev->pooled_ ? static_cast<PoolEvent *>(ev) : nullptr;
+    struct Dispatch
+    {
+        EventQueue &q;
+        PoolEvent *oneshot;
+
+        ~Dispatch()
+        {
+            q.dispatching_ = false;
+            if (oneshot)
+                q.pool_.release(oneshot);
         }
-        if (!ev->scheduled_)
-            releaseOneShot(ev);
-    } else {
-        ev->process();
-    }
+    } dispatch{*this, oneshot};
+    dispatching_ = true;
+    ev->process();
 }
 
 bool
@@ -271,60 +260,6 @@ EventQueue::step()
     cur_tick_ = entry.when;
     fire(entry.ev);
     return true;
-}
-
-void
-EventQueue::dispatchBatch()
-{
-    // Pop the whole run of events sharing the head's (tick,
-    // priority): the common "N chunk completions at one tick" case
-    // pays one head examination per event instead of a full
-    // pop/push cycle interleaved with other keys.
-    const Tick when = heap_.front().when;
-    const int priority = heap_.front().priority;
-    cur_tick_ = when;
-    batch_.clear();
-    do {
-        Entry e = popTop();
-        e.ev->heap_index_ = Event::batchFlag | batch_.size();
-        batch_.push_back(e);
-    } while (!heap_.empty() && heap_.front().when == when &&
-             heap_.front().priority == priority);
-
-    std::size_t i = 0;
-    try {
-        for (; i < batch_.size(); ++i) {
-            Event *ev = batch_[i].ev;
-            if (!ev)
-                continue;       // descheduled by an earlier batch member
-            ev->heap_index_ = Event::notQueued;
-            fire(ev);
-            // A fired event may have scheduled something that orders
-            // before the rest of the batch (same tick, stricter
-            // priority). Splice the unfired tail back so the global
-            // (tick, priority, seq) order is preserved exactly.
-            if (i + 1 < batch_.size() && !heap_.empty() &&
-                entryLess(heap_.front(), batch_[i + 1])) {
-                for (std::size_t j = i + 1; j < batch_.size(); ++j) {
-                    if (batch_[j].ev)
-                        pushEntry(batch_[j]);
-                }
-                batch_.clear();
-                return;
-            }
-        }
-    } catch (...) {
-        // Restore the unfired tail so destructor semantics (reclaim
-        // pending one-shots) and any continued use see a consistent
-        // queue.
-        for (std::size_t j = i + 1; j < batch_.size(); ++j) {
-            if (batch_[j].ev)
-                pushEntry(batch_[j]);
-        }
-        batch_.clear();
-        throw;
-    }
-    batch_.clear();
 }
 
 void
@@ -356,7 +291,7 @@ EventQueue::allPendingKeyed() const
 void
 EventQueue::save(SnapshotWriter &w) const
 {
-    if (!batch_.empty())
+    if (dispatching_)
         panic("EventQueue::save from inside a dispatch");
     w.section("eventq");
     w.putU64(cur_tick_);
@@ -438,15 +373,14 @@ EventQueue::restore(SnapshotReader &r)
 Tick
 EventQueue::run(Tick limit)
 {
-    for (;;) {
-        if (heap_.empty())
-            return cur_tick_;
+    while (!heap_.empty()) {
         if (heap_.front().when > limit) {
             cur_tick_ = limit;
-            return cur_tick_;
+            break;
         }
-        dispatchBatch();
+        step();
     }
+    return cur_tick_;
 }
 
 } // namespace ehpsim

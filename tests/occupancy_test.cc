@@ -347,3 +347,28 @@ TEST_P(OccupancyStores, RunStoreMatchesDenseStore)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OccupancyStores,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(OccupancyStores, BackwardWalkMatchesAcrossThousandsOfPages)
+{
+    // Each request lands a few windows before the previous one, so
+    // the dense page table keeps growing at its front, across
+    // thousands of 16-window pages. Both stores must still agree on
+    // every completion, on the window loads and on the blob.
+    const double bw = 0.064;    // 16'000-tick windows
+    const Tick window = 16'000;
+    OccupancyTracker dense(bw, Store::dense);
+    OccupancyTracker runs(bw, Store::runs);
+    Rng rng(7);
+    std::uint64_t w = 2000 << DenseWindows::kPageBits;
+    while (w > 8) {
+        const Tick when = w * window + rng.nextBounded(window);
+        const std::uint64_t bytes = 1 + rng.nextBounded(2048);
+        ASSERT_EQ(dense.occupy(when, bytes), runs.occupy(when, bytes))
+            << "window " << w;
+        w -= 1 + rng.nextBounded(8);
+    }
+    EXPECT_EQ(dense.windowLoads(), runs.windowLoads());
+    const std::string blob = saveTracker(dense, 0);
+    EXPECT_EQ(blob, saveTracker(runs, 0));
+    EXPECT_EQ(saveTracker(restoreTracker(blob, Store::dense), 0), blob);
+}

@@ -19,6 +19,7 @@
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
+#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "sim/units.hh"
 
@@ -40,6 +41,18 @@ class RecordingEvent : public Event
   private:
     std::vector<int> *log_;
     int id_;
+};
+
+/** Appends "L@moved " to a trace string when fired. */
+class MovedEvent : public Event
+{
+  public:
+    explicit MovedEvent(std::string *out) : out_(out) {}
+
+    void process() override { *out_ += "L@moved "; }
+
+  private:
+    std::string *out_;
 };
 
 /** Appends "id@tick " to a trace string when fired. */
@@ -171,40 +184,6 @@ TEST(EventQueue, DescheduleDeleteReuseSameTick)
     delete fresh;
 }
 
-TEST(EventQueue, RescheduleSelfDeletingEvent)
-{
-    // reschedule() must work for self-deleting events: the event
-    // still fires exactly once, at the new time, and is deleted by
-    // the queue as usual.
-    EventQueue eq;
-    int count = 0;
-    Tick fired_at = 0;
-    auto *ev = new LambdaEvent([&] {
-        ++count;
-        fired_at = eq.curTick();
-    });
-    eq.schedule(ev, 100);
-    eq.reschedule(ev, 400);
-    eq.reschedule(ev, 250);
-    eq.run();
-    EXPECT_EQ(count, 1);
-    EXPECT_EQ(fired_at, 250u);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.numProcessed(), 1u);
-}
-
-TEST(EventQueue, DescheduleSelfDeletingPanicsWithLeakMessage)
-{
-    EventQueue eq;
-    auto *ev = new LambdaEvent([] {});
-    eq.schedule(ev, 100);
-    EXPECT_DEATH(eq.deschedule(ev), "leak");
-    // In the parent the event is still queued; letting it fire frees
-    // it (the only way a self-deleting event may leave the queue).
-    eq.run();
-    EXPECT_TRUE(eq.empty());
-}
-
 TEST(EventQueue, LambdaEventsSelfDelete)
 {
     EventQueue eq;
@@ -284,10 +263,10 @@ TEST(EventQueue, GoldenTraceMatchesPreRewriteKernel)
             eq.reschedule(&evs[25], 55);
     });
 
-    // Self-deleting reschedule: fires once, at the final time.
-    auto *moved = new LambdaEvent([&] { trace += "L@moved "; });
-    eq.schedule(moved, 20);
-    eq.reschedule(moved, 45);
+    // A rescheduled event fires once, at the final time.
+    MovedEvent moved(&trace);
+    eq.schedule(&moved, 20);
+    eq.reschedule(&moved, 45);
 
     // Partial run, then more work lands mid-stream.
     eq.run(30);
@@ -310,8 +289,7 @@ TEST(EventQueue, GoldenTraceMatchesPreRewriteKernel)
 TEST(EventQueue, PooledCallableDestroyedAfterFiring)
 {
     // The pool recycles the event's storage, but the captured state
-    // must be released the moment the callback has fired — exactly
-    // when deleting a LambdaEvent would have released it.
+    // must be released the moment the callback has fired.
     EventQueue eq;
     auto token = std::make_shared<int>(1);
     eq.scheduleCallback(10, [token] {});
@@ -323,8 +301,9 @@ TEST(EventQueue, PooledCallableDestroyedAfterFiring)
 TEST(EventQueue, DestructorReclaimsPendingOneShots)
 {
     // One-shots that never fire are reclaimed — callable destructors
-    // run — when the queue dies, for both pooled and heap-allocated
-    // events (ASan would flag the leak otherwise).
+    // run — when the queue dies, whether the callable sits in the
+    // slot itself or in scheduleLambda()'s std::function (ASan would
+    // flag the leak otherwise).
     auto token = std::make_shared<int>(7);
     {
         EventQueue eq;
@@ -352,28 +331,58 @@ TEST(EventQueue, PoolCapacityBoundedAcrossWaves)
     EXPECT_EQ(eq.poolCapacity(), 256u);
 }
 
-TEST(EventQueue, OversizedCallableFallsBackToHeap)
+TEST(EventQueue, OversizedCallableIsBoxedInThePool)
 {
-    // Captures larger than the pool's inline storage still work;
-    // they take the heap-allocated LambdaEvent path and never touch
-    // the pool.
-    EventQueue eq;
+    // Captures larger than the pool's inline storage are boxed in a
+    // std::function that takes a pool slot like any other one-shot;
+    // the captured state is released after the firing, and by the
+    // queue's destructor while still pending.
     std::array<std::uint64_t, 9> payload{};
     static_assert(sizeof(payload) > inlineCallbackBytes);
     payload[8] = 42;
+    auto token = std::make_shared<int>(1);
     std::uint64_t seen = 0;
-    eq.scheduleCallback(10, [payload, &seen] { seen = payload[8]; });
-    eq.run();
+    {
+        EventQueue eq;
+        eq.scheduleCallback(10, [payload, token, &seen] {
+            seen = payload[8];
+        });
+        EXPECT_EQ(eq.poolCapacity(), 256u);
+        EXPECT_EQ(token.use_count(), 2);
+        eq.run();
+        EXPECT_EQ(seen, 42u);
+        EXPECT_EQ(token.use_count(), 1);
+
+        eq.scheduleCallback(20, [payload, token, &seen] {
+            seen = payload[0];
+        });
+        EXPECT_EQ(token.use_count(), 2);
+        EXPECT_EQ(eq.poolCapacity(), 256u);
+    }
+    EXPECT_EQ(token.use_count(), 1);
     EXPECT_EQ(seen, 42u);
-    EXPECT_EQ(eq.poolCapacity(), 0u);
+}
+
+TEST(EventQueue, SaveInsideDispatchPanics)
+{
+    // A checkpoint is taken between events; a firing callback that
+    // tries to save would serialize a queue missing the event being
+    // fired.
+    EventQueue eq;
+    SnapshotWriter w;
+    eq.scheduleCallback(10, [&] { eq.save(w); });
+    EXPECT_DEATH(eq.run(), "save from inside a dispatch");
+    // The parent never fired the callback; the queue's destructor
+    // reclaims it.
+    EXPECT_EQ(eq.size(), 1u);
 }
 
 TEST(EventQueue, BatchMemberSchedulingHigherPrioritySameTick)
 {
-    // Batched dispatch pops the whole same-(tick, priority) run at
-    // once. If a fired member schedules something that orders before
-    // the rest of the batch, the unfired tail is spliced back so the
-    // injected event runs in its correct slot.
+    // An event that a member of a same-(tick, priority) run schedules
+    // at a stricter priority fires before the rest of the run. (The
+    // batched dispatcher this kernel once had spliced the unfired
+    // tail back to get this right.)
     EventQueue eq;
     std::vector<int> log;
     eq.scheduleCallback(10, [&] {
@@ -389,9 +398,10 @@ TEST(EventQueue, BatchMemberSchedulingHigherPrioritySameTick)
 
 TEST(EventQueue, MidBatchDescheduleRemovesPoppedMember)
 {
-    // Descheduling an event that has already been popped into the
-    // in-flight batch must still take effect (and the owner may free
-    // the event immediately afterwards).
+    // Descheduling a same-(tick, priority) event from an earlier
+    // one's callback must take effect (and the owner may free the
+    // event immediately afterwards). The batched dispatcher this
+    // kernel once had had already popped the victim by then.
     EventQueue eq;
     std::vector<int> log;
     RecordingEvent victim(&log, 3);
@@ -425,9 +435,10 @@ TEST(EventQueue, MidBatchRescheduleMovesPoppedMember)
 
 TEST(EventQueue, ThrowingBatchMemberRestoresTail)
 {
-    // A process() that throws mid-batch (fatal() on an error path)
-    // must reclaim the throwing one-shot and put the unfired tail
-    // back on the heap: nothing leaks, original order resumes.
+    // A process() that throws (fatal() on an error path) amid a
+    // same-(tick, priority) run must reclaim the throwing one-shot
+    // and leave the rest of the run pending: nothing leaks, original
+    // order resumes.
     EventQueue eq;
     std::vector<int> log;
     eq.scheduleCallback(10, [&] { log.push_back(1); });
