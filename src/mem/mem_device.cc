@@ -108,6 +108,19 @@ RunWindows::mergeAround(std::size_t i)
 }
 
 void
+OccupancyTracker::checkRate(double bytes_per_tick, Tick window,
+                            const char *who)
+{
+    if (!std::isfinite(bytes_per_tick) || bytes_per_tick < 0.0)
+        fatal(who, ": bad rate ", bytes_per_tick, " B/tick");
+    // A budget within the fullness epsilon would leave no window free.
+    if (bytes_per_tick > 0.0 &&
+        !(bytes_per_tick * static_cast<double>(window) > 1e-6))
+        fatal(who, ": rate ", bytes_per_tick,
+              " B/tick leaves no window budget");
+}
+
+void
 OccupancyTracker::snapshot(SnapshotWriter &w) const
 {
     w.putF64(bytes_per_tick_);
@@ -144,18 +157,12 @@ OccupancyTracker::restore(SnapshotReader &r)
     dense_.clear();
     runs_.clear();
     bytes_per_tick_ = r.getF64();
-    if (!std::isfinite(bytes_per_tick_) || bytes_per_tick_ < 0.0)
-        fatal("occupancy snapshot: bad rate ", bytes_per_tick_,
-              " B/tick");
     window_ = r.getU64();
     if (window_ < kMinWindow || window_ > kMaxWindow)
         fatal("occupancy snapshot: window of ", window_,
               " ticks outside [", kMinWindow, ", ", kMaxWindow, "]");
+    checkRate(bytes_per_tick_, window_, "occupancy snapshot");
     const double budget = bytes_per_tick_ * static_cast<double>(window_);
-    // A budget within the fullness epsilon would leave no window free.
-    if (bytes_per_tick_ > 0.0 && !(budget > 1e-6))
-        fatal("occupancy snapshot: rate ", bytes_per_tick_,
-              " B/tick leaves no window budget");
     last_done_ = r.getU64();
     touched_ = r.getBool();
     first_page_ = r.getU64();

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -62,6 +64,73 @@ struct WindowSpan
     std::uint64_t end;
     double used;
 };
+
+/**
+ * Take the per-window step `remaining -= avail; ++k` while k < end
+ * and remaining > avail, with the bit-exact result of that loop, and
+ * return the k it stops at. Costs O(binades of @p remaining), not
+ * O(end - k); a one-window span takes the literal step.
+ *
+ * While r = remaining stays in its binade [lo, 2 lo), the doubles
+ * there are the multiples of u = ulp(r), so a step with r - avail >=
+ * lo gives fl(r - avail) = r - c, where c is avail rounded to a
+ * multiple of u: m such steps are one integer division in units of
+ * u, and r - m c is exact. A tie (avail an odd multiple of u / 2)
+ * rounds to the even neighbour, which subtracts a constant only once
+ * r / u is even. If avail is itself a multiple of u, every step is
+ * exact in this binade and all smaller ones. The step that may leave
+ * the binade, and a tie from odd r / u, are taken literally.
+ * Requires avail > 1e-290, so that ulp(remaining) is a normal double;
+ * a tracker's spans offer more than its 1e-6 fullness epsilon.
+ */
+inline std::uint64_t
+consumeSpan(double &remaining, double avail, std::uint64_t k,
+            std::uint64_t end)
+{
+    // The steps from r (> a > 0) that need no literal step, at most
+    // n, applied to r.
+    const auto bulk = [](double &r, double a, std::uint64_t n)
+        -> std::uint64_t {
+        const double lo = std::bit_cast<double>(
+            std::bit_cast<std::uint64_t>(r) & 0x7ff0'0000'0000'0000ull);
+        const double u = lo * 0x1p-52;
+        const double q = a / u;     // exact; q < r / u < 2^53
+        const double t = std::floor(q);
+        if (q == t) {
+            const auto units = static_cast<std::uint64_t>(r / u);
+            const auto c = static_cast<std::uint64_t>(q);
+            const std::uint64_t m = std::min(n, (units - 1) / c);
+            r = static_cast<double>(units - m * c) * u;
+            return m;
+        }
+        // r - a >= lo, in units of u: R >= ceil(q) = t + 1.
+        const auto R = static_cast<std::uint64_t>((r - lo) / u);
+        const auto floor_q = static_cast<std::uint64_t>(t);
+        if (floor_q + 1 > R)
+            return 0;
+        const double frac = q - t;
+        if (frac == 0.5 && (R & 1))
+            return 0;
+        const std::uint64_t c =
+            frac < 0.5 || (frac == 0.5 && !(floor_q & 1)) ? floor_q
+                                                          : floor_q + 1;
+        if (c == 0)
+            return n;
+        const std::uint64_t m = std::min(n, (R - floor_q - 1) / c + 1);
+        r = lo + static_cast<double>(R - m * c) * u;
+        return m;
+    };
+    while (k < end && remaining > avail) {
+        if (end - k > 1) {
+            k += bulk(remaining, avail, end - k);
+            if (k == end || !(remaining > avail))
+                break;
+        }
+        remaining -= avail;
+        ++k;
+    }
+    return k;
+}
 
 /**
  * Window loads in dense fixed-size pages indexed from the first
@@ -246,10 +315,11 @@ class DenseWindows
  * Window loads as sorted, non-overlapping runs of windows with equal
  * load (unloaded windows are gaps), found through a finger on the
  * last run touched. A chunk crossing a thousand idle windows is one
- * run, so bulk traffic costs O(runs touched) and memory grows with
- * requests, not bytes: the store for the node fabric, where every
- * request spans many windows. A lookup away from the finger is a
- * binary search.
+ * run, charged by consumeSpan() in O(binades of the bytes left)
+ * rather than per window, so bulk traffic costs O(runs touched) and
+ * memory grows with requests, not bytes: the store for the node
+ * fabric, where every request spans many windows. A lookup away from
+ * the finger is a binary search.
  */
 class RunWindows
 {
@@ -335,7 +405,8 @@ class OccupancyTracker
     static constexpr Tick kMinWindow = 1000;
     static constexpr Tick kMaxWindow = 1'000'000;
 
-    /** @param bytes_per_tick Bandwidth (may be fractional). */
+    /** @param bytes_per_tick Bandwidth (may be fractional); fatal
+     *  on a rate setBandwidth() rejects. */
     explicit OccupancyTracker(double bytes_per_tick = 0.0,
                               Store store = Store::dense)
         : use_runs_(store == Store::runs)
@@ -347,13 +418,16 @@ class OccupancyTracker
      * Change the rate. Once a window holds load the window grid
      * stays: stored window indices keep their meaning, and only each
      * window's budget (rate x window) changes, so a derate slows the
-     * link from now on without stretching its past.
+     * link from now on without stretching its past. Fatal on a rate
+     * restore() would reject: NaN, infinite, negative, or positive
+     * with no window budget above the fullness epsilon.
      */
     void
     setBandwidth(double bytes_per_tick)
     {
-        if (!touched_)
-            window_ = windowFor(bytes_per_tick);
+        const Tick window = touched_ ? window_ : windowFor(bytes_per_tick);
+        checkRate(bytes_per_tick, window, "occupancy");
+        window_ = window;
         bytes_per_tick_ = bytes_per_tick;
         dense_.dropChains();
     }
@@ -418,10 +492,15 @@ class OccupancyTracker
      *  blobs do not depend on it. */
     static constexpr std::uint64_t kWatermarkBits = 9;
 
+    /** Fatal, naming @p who, on a rate no tracker may hold on a
+     *  grid of @p window ticks. */
+    static void checkRate(double bytes_per_tick, Tick window,
+                          const char *who);
+
     static Tick
     windowFor(double bytes_per_tick)
     {
-        if (bytes_per_tick <= 0.0)
+        if (!(bytes_per_tick > 0.0))
             return kMinWindow;
         // Window sized to carry ~1 KiB, clamped to [1 ns, 1 us].
         return static_cast<Tick>(
@@ -470,19 +549,15 @@ class OccupancyTracker
                                      static_cast<double>(bytes) /
                                      bytes_per_tick_ + 0.5));
         }
-        // Every window of a span offers the same budget - used. The
-        // per-window step (take = min(avail, remaining); remaining -=
-        // take) runs in registers over the span, so a span of any
-        // length gives the bit-exact result of a window-by-window
-        // walk, stored as at most two fills.
+        // Every window of a span offers the same budget - used, so
+        // consumeSpan() gives the bit-exact result of a window-by-
+        // window walk (take = min(avail, remaining); remaining -=
+        // take) in O(binades), stored as at most two fills.
         for (w = w + 1;;) {
             const WindowSpan sp = s.freeSpan(w, full);
             const double span_avail = budget - sp.used;
-            std::uint64_t k = sp.begin;
-            while (k < sp.end && remaining > span_avail) {
-                remaining -= span_avail;
-                ++k;
-            }
+            const std::uint64_t k =
+                consumeSpan(remaining, span_avail, sp.begin, sp.end);
             if (k > sp.begin)
                 put(sp.begin, k, sp.used + span_avail);
             if (k < sp.end) {

@@ -3,11 +3,18 @@
  * Property tests for the windowed-bandwidth OccupancyTracker — the
  * contention model under every link, cache port, and DRAM bus. Every
  * case runs against both window stores, and a differential test
- * feeds the two the same seeded traffic.
+ * feeds the two the same seeded traffic. consumeSpan(), the closed
+ * form the run store charges a span with, is checked against the
+ * per-window loop it replaces.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -371,4 +378,293 @@ TEST(OccupancyStores, BackwardWalkMatchesAcrossThousandsOfPages)
     const std::string blob = saveTracker(dense, 0);
     EXPECT_EQ(blob, saveTracker(runs, 0));
     EXPECT_EQ(saveTracker(restoreTracker(blob, Store::dense), 0), blob);
+}
+
+TEST(OccupancyStores, MultiMiBTransfersAfterDerate)
+{
+    // 16-64 MiB transfers on a derated x16 link: every window budget
+    // is non-dyadic, so the run store charges each span through
+    // consumeSpan()'s closed form while the dense store steps one
+    // window at a time. Point requests backfill windows the bulk
+    // traffic leaves part-loaded, and a second derate lands mid-way.
+    for (const std::uint64_t seed : {3, 11}) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        OccupancyTracker dense(0.064, Store::dense);
+        OccupancyTracker runs(0.064, Store::runs);
+        const double f = 0.25 + 0.75 * rng.nextDouble();
+        dense.setBandwidth(0.064 * f);
+        runs.setBandwidth(0.064 * f);
+        Tick clock = 0;
+        for (int i = 0; i < 24; ++i) {
+            if (i == 12) {
+                dense.setBandwidth(0.064 * f * 0.7);
+                runs.setBandwidth(0.064 * f * 0.7);
+            }
+            const bool bulk = i % 2 == 0;
+            const std::uint64_t bytes =
+                bulk ? 16 * MiB + rng.nextBounded(48 * MiB)
+                     : 1 + rng.nextBounded(900);
+            const Tick when =
+                bulk ? clock : rng.nextBounded(clock + 1);
+            const Tick d = dense.occupy(when, bytes);
+            ASSERT_EQ(d, runs.occupy(when, bytes))
+                << "request " << i << ": " << bytes << " B at " << when;
+            if (bulk)
+                clock += (d - clock) / 2;
+        }
+        EXPECT_EQ(dense.nextFree(), runs.nextFree());
+        EXPECT_EQ(dense.windowLoads(), runs.windowLoads());
+        EXPECT_EQ(saveTracker(dense, 0), saveTracker(runs, 0));
+    }
+}
+
+TEST(OccupancyRate, RateRestoreRejectsIsFatal)
+{
+    // fatal() throws, so a bad rate is caught here as a
+    // runtime_error; uncaught it ends the program.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const Store store : {Store::dense, Store::runs}) {
+        SCOPED_TRACE(storeName(store));
+        // NaN, negative and infinite rates, and a positive rate too
+        // small to leave a window budget above the fullness epsilon.
+        for (const double bad : {nan, -1.0, -1e-300, inf, 1e-13}) {
+            SCOPED_TRACE(bad);
+            EXPECT_THROW(OccupancyTracker(bad, store), std::runtime_error);
+            OccupancyTracker t(0.064, store);
+            EXPECT_THROW(t.setBandwidth(bad), std::runtime_error);
+            t.occupy(0, 1 * MiB);
+            EXPECT_THROW(t.setBandwidth(bad), std::runtime_error);
+            // The rejected rate left the tracker as it was, so its
+            // blob still restores.
+            EXPECT_EQ(t.bandwidth(), 0.064);
+            const std::string blob = saveTracker(t, 0);
+            EXPECT_EQ(saveTracker(restoreTracker(blob, store), 0), blob);
+        }
+        EXPECT_NO_THROW(OccupancyTracker(0.0, store));
+    }
+}
+
+namespace
+{
+
+/** The per-window loop consumeSpan() replaces. */
+std::uint64_t
+literalSpan(double &r, double a, std::uint64_t k, std::uint64_t end)
+{
+    while (k < end && r > a) {
+        r -= a;
+        ++k;
+    }
+    return k;
+}
+
+/** consumeSpan() and the literal loop stop at the same window with
+ *  the same bits left. */
+::testing::AssertionResult
+matchesLiteral(double r, double a, std::uint64_t k, std::uint64_t end)
+{
+    double lit = r;
+    double got = r;
+    const std::uint64_t lk = literalSpan(lit, a, k, end);
+    const std::uint64_t gk = consumeSpan(got, a, k, end);
+    if (lk == gk && std::bit_cast<std::uint64_t>(lit) ==
+                        std::bit_cast<std::uint64_t>(got))
+        return ::testing::AssertionSuccess();
+    const auto hex = [](double x) {
+        std::ostringstream os;
+        os << std::hexfloat << x;
+        return os.str();
+    };
+    return ::testing::AssertionFailure()
+           << "r " << hex(r) << ", avail " << hex(a) << ", span [" << k
+           << ", " << end << "): the loop stops at " << lk << " with "
+           << hex(lit) << " left, the closed form at " << gk << " with "
+           << hex(got);
+}
+
+/** avail / ulp(r): a tie when its fraction is exactly 1/2. */
+double
+availInUlps(double r, double a)
+{
+    return a / (std::ldexp(1.0, std::ilogb(r)) * 0x1p-52);
+}
+
+} // anonymous namespace
+
+TEST(ConsumeSpan, MatchesLiteralLoopOnRandomCases)
+{
+    Rng rng(2024);
+    const std::uint64_t cases = 1'200'000;
+    std::uint64_t ties = 0;
+    for (std::uint64_t i = 0; i < cases; ++i) {
+        const double steps = rng.nextBool(0.5)
+                                 ? 8.0 * rng.nextDouble()
+                                 : 600.0 * rng.nextDouble();
+        double r = 0.0;
+        double a = 0.0;
+        switch (rng.nextBounded(5)) {
+          case 0: {
+            // A derated x16 link's window budget less a partial load.
+            const double budget =
+                0.064 * (0.25 + 0.75 * rng.nextDouble()) * 16'000.0;
+            a = budget - budget * 0.999 * rng.nextDouble();
+            r = a * (1.0 + steps);
+            break;
+          }
+          case 1:
+            // A dyadic avail: exact in r's binade or a few below it.
+            a = static_cast<double>(1 + rng.nextBounded(4096)) *
+                std::ldexp(1.0, -static_cast<int>(rng.nextBounded(24)));
+            r = rng.nextBool(0.5)
+                    ? std::floor(a * (1.0 + steps))
+                    : a * (1.0 + steps);
+            break;
+          case 2: {
+            // avail an odd multiple of half of r's ulp: a tie binade.
+            r = std::ldexp(1.0 + rng.nextDouble(),
+                           static_cast<int>(rng.nextBounded(31)));
+            const double u = std::ldexp(1.0, std::ilogb(r)) * 0x1p-52;
+            a = (2.0 * std::floor(r / ((1.0 + steps) * u)) + 1.0) * u /
+                2.0;
+            ties += availInUlps(r, a) - std::floor(availInUlps(r, a)) ==
+                    0.5;
+            break;
+          }
+          case 3: {
+            // r a few steps above its binade's floor, so that a step
+            // in the binade lands within an ulp of the floor.
+            a = std::exp(std::log(1e-3) + std::log(1e7) * rng.nextDouble());
+            const double lo = std::ldexp(
+                1.0, std::ilogb(a) + 4 + static_cast<int>(rng.nextBounded(10)));
+            const double u = lo * 0x1p-52;
+            const double q = a / u;
+            r = lo + (std::floor(q) +
+                      std::nearbyint(q) * static_cast<double>(rng.nextBounded(8)) +
+                      static_cast<double>(rng.nextBounded(3)) - 1.0) *
+                         u;
+            break;
+          }
+          default:
+            // Any avail from 1e-3 to 1e4 bytes.
+            a = std::exp(std::log(1e-3) + std::log(1e7) * rng.nextDouble());
+            r = a * (1.0 + steps) + a * rng.nextDouble();
+            break;
+        }
+        const std::uint64_t k = rng.nextBounded(1ull << 40);
+        std::uint64_t width;
+        switch (rng.nextBounded(4)) {
+          case 0: width = rng.nextBounded(3); break;
+          case 1: width = rng.nextBounded(700); break;
+          case 2: width = std::numeric_limits<std::uint64_t>::max() - k;
+                  break;
+          default: width = static_cast<std::uint64_t>(steps); break;
+        }
+        ASSERT_TRUE(matchesLiteral(r, a, k, k + width)) << "case " << i;
+    }
+    EXPECT_GT(ties, cases / 8);
+}
+
+TEST(ConsumeSpan, ExactMultipleSteps)
+{
+    // avail a multiple of ulp(r): every step is exact, and the span
+    // stops on r <= avail, not before.
+    double r = 4096.0;
+    EXPECT_EQ(consumeSpan(r, 1024.0, 0, 100), 3u);
+    EXPECT_EQ(r, 1024.0);
+    for (const double a : {1024.0, 0.75, 3.0, 0x1p-10 * 77.0}) {
+        for (const double r0 : {1.0 * MiB, 1.0 * MiB + 0.5, 12345.25,
+                                64.0 * MiB - 1.0}) {
+            for (const std::uint64_t width : {0, 1, 2, 7, 1000, 1 << 20})
+                EXPECT_TRUE(matchesLiteral(r0, a, 5, 5 + width));
+        }
+    }
+}
+
+TEST(ConsumeSpan, TieBinade)
+{
+    // r in [2^20, 2^21), whose ulp is 2^-32; avail an odd multiple
+    // of 2^-33 near 1000 B, so every step in r's binade is a rounding
+    // tie, from both an odd and an even r / ulp.
+    const double u = 0x1p-32;
+    const double a = (2.0 * std::floor(1000.0 / u) + 1.0) * u / 2.0;
+    for (const double r0 : {0x1p20 + 12345.0 * u, 0x1p20 + 12346.0 * u,
+                            0x1.fffffp20, 0x1.8p20 + u}) {
+        ASSERT_EQ(availInUlps(r0, a) - std::floor(availInUlps(r0, a)), 0.5);
+        for (const std::uint64_t width : {0, 1, 2, 3, 100, 1500, 4000})
+            EXPECT_TRUE(matchesLiteral(r0, a, 0, width));
+    }
+}
+
+TEST(ConsumeSpan, StepOntoTheBinadeFloor)
+{
+    // r - lo a whole number of steps plus floor(avail / ulp) ulps:
+    // the last step of the binade ends within an ulp of lo, where
+    // the spacing halves, so it must be taken literally.
+    const double lo = 0x1p20;
+    const double u = lo * 0x1p-52;
+    for (const double frac : {0.3, 0.7, 0.1, 0.9}) {
+        const double a = 1000.0 + frac * u;
+        const double q = a / u;
+        for (const double steps : {0.0, 1.0, 5.0})
+            for (const double off : {-1.0, 0.0, 1.0})
+                EXPECT_TRUE(matchesLiteral(
+                    lo + (std::floor(q) + std::nearbyint(q) * steps + off) * u,
+                    a, 0, 10'000))
+                    << "frac " << frac << ", steps " << steps;
+    }
+}
+
+TEST(ConsumeSpan, SpansOfZeroOneAndTwoWindows)
+{
+    for (const double a : {1024.0, 307.2, 0.1, 1000.5})
+        for (const double r : {a * 0.5, a, a * 1.5, a * 2.0, a * 3.7,
+                               a * 1e6})
+            for (const std::uint64_t width : {0, 1, 2})
+                EXPECT_TRUE(matchesLiteral(r, a, 9, 9 + width))
+                    << "width " << width;
+}
+
+TEST(ConsumeSpan, CrossesTwentyBinades)
+{
+    // ~1 GiB left against ~1 KiB or less a window: the closed form
+    // walks every binade from 2^30 down to avail.
+    for (const double a : {1000.3, 1024.0, 37.25, 0.064 * 0.3 * 16'000.0 -
+                                                  17.1}) {
+        const double r0 = 0x1p30 + 12345.678;
+        double r = r0;
+        consumeSpan(r, a, 0, std::numeric_limits<std::uint64_t>::max());
+        EXPECT_GE(std::ilogb(r0) - std::ilogb(r), 20) << a;
+        EXPECT_TRUE(matchesLiteral(r0, a, 0,
+                                   std::numeric_limits<std::uint64_t>::max()));
+        EXPECT_TRUE(matchesLiteral(r0, a, 0, 500'000));
+    }
+}
+
+TEST(ConsumeSpan, DeratedNonDyadicBudgets)
+{
+    // A 64 GB/s link's 1,024 B window budget derated by non-dyadic
+    // factors, less partial loads, against 1-64 MiB chunks.
+    for (const double f : {0.3, 0.7, 1.0 / 3.0, 0.9, 0.55}) {
+        const double budget = 0.064 * f * 16'000.0;
+        for (const double used : {0.0, 100.1, budget / 3.0}) {
+            const double a = budget - used;
+            for (const double r : {1.0 * MiB, 1.0 * MiB - 123.4,
+                                   16.0 * MiB + 0.3, 64.0 * MiB})
+                for (const std::uint64_t width : {2, 1000, 70'000,
+                                                  1'000'000})
+                    EXPECT_TRUE(matchesLiteral(r, a, 0, width))
+                        << "f " << f << ", used " << used;
+        }
+    }
+}
+
+TEST(ConsumeSpan, AvailBelowHalfAnUlpLeavesRemainingAlone)
+{
+    // Past 2^52 x avail a step rounds back to r: the span fills
+    // without r moving, and r at the binade floor steps literally.
+    for (const double r : {0x1p60 + 0x1p20, 0x1p60})
+        for (const std::uint64_t width : {1, 2, 1000})
+            EXPECT_TRUE(matchesLiteral(r, 1.0, 0, width));
 }
