@@ -28,7 +28,9 @@
  *   apu_triad        the package memory path: one STREAM triad GPU
  *                    phase on a freshly built MI300A ApuSystem, from
  *                    cold caches through the XCD L2s, the fabric,
- *                    the Infinity Cache slices and HBM
+ *                    the Infinity Cache slices and HBM, with the
+ *                    calls it took: fabric sends, link transfers and
+ *                    cache, slice and DRAM port charges
  *   checkpoint_fork  the sweep fast-forward cycle (DESIGN.md §16):
  *                    warm one world with ring all-reduces, save it,
  *                    then fork eight sweep points by restoring the
@@ -58,6 +60,7 @@
 #include "comm/comm_group.hh"
 #include "core/apu_system.hh"
 #include "fabric/link.hh"
+#include "fabric/network.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
 #include "gpu/xcd.hh"
@@ -527,12 +530,25 @@ benchCacheLookup(const Sizes &sz, unsigned repeat)
     return r;
 }
 
+/** f(g) for @p g and every group below it, parents first. */
+template <class F>
+void
+forEachGroup(const stats::StatGroup &g, F &&f)
+{
+    f(g);
+    for (const stats::StatGroup *c : g.groupList())
+        forEachGroup(*c, f);
+}
+
 /**
  * The package memory path an ApuSystem GPU phase takes: one STREAM
  * triad (two arrays read, one written) on a freshly built MI300A,
  * from cold caches. Its stripes cross the XCD L2s, the package
  * fabric, the Infinity Cache slices and the HBM channels. The wall
- * time covers the run, not the build.
+ * time covers the run, not the build. Besides the traffic it moved,
+ * it counts the calls that moved it, summed over the stats tree:
+ * fabric sends, link transfers, and port charges (cache and
+ * Infinity Cache slice hits and misses, DRAM reads and writes).
  */
 BenchResult
 benchApuTriad(const Sizes &sz, unsigned repeat)
@@ -542,7 +558,8 @@ benchApuTriad(const Sizes &sz, unsigned repeat)
     const workloads::Workload triad =
         workloads::streamTriad(sz.triad_elems);
     double best = -1;
-    std::uint64_t transfers = 0, mall_hits = 0, mall_misses = 0;
+    std::uint64_t sends = 0, transfers = 0, port_charges = 0;
+    std::uint64_t mall_hits = 0, mall_misses = 0;
     std::uint64_t hbm_bytes = 0, last_complete = 0;
     for (unsigned rep = 0; rep < repeat; ++rep) {
         core::ApuSystem sys(soc::mi300aConfig());
@@ -554,10 +571,22 @@ benchApuTriad(const Sizes &sz, unsigned repeat)
         const auto count = [](const stats::Scalar &v) {
             return static_cast<std::uint64_t>(v.value());
         };
+        sends = transfers = port_charges = 0;
+        forEachGroup(sys, [&](const stats::StatGroup &g) {
+            if (const auto *n = dynamic_cast<const fabric::Network *>(&g))
+                sends += count(n->messages);
+            else if (const auto *l = dynamic_cast<const fabric::Link *>(&g))
+                transfers += count(l->transfers);
+            else if (const auto *c = dynamic_cast<const mem::Cache *>(&g))
+                port_charges += count(c->hits) + count(c->misses);
+            else if (const auto *ic =
+                         dynamic_cast<const mem::InfinityCacheSlice *>(&g))
+                port_charges += count(ic->hits) + count(ic->misses);
+            else if (const auto *d =
+                         dynamic_cast<const mem::DramChannel *>(&g))
+                port_charges += count(d->reads) + count(d->writes);
+        });
         soc::Package &pkg = sys.package();
-        transfers = 0;
-        for (const fabric::Link *l : pkg.network()->allLinks())
-            transfers += count(l->transfers);
         mall_hits = mall_misses = hbm_bytes = 0;
         for (unsigned c = 0; c < pkg.memMap().numChannels(); ++c) {
             mall_hits += count(pkg.slice(c)->hits);
@@ -571,7 +600,9 @@ benchApuTriad(const Sizes &sz, unsigned repeat)
              {"mall_hits", mall_hits},
              {"mall_misses", mall_misses},
              {"hbm_bytes", hbm_bytes},
-             {"last_complete", last_complete}};
+             {"last_complete", last_complete},
+             {"fabric_sends", sends},
+             {"port_charges", port_charges}};
     r.best_seconds = best;
     r.events_per_sec = static_cast<double>(transfers) / best;
     r.ops_per_sec = r.events_per_sec;

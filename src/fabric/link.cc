@@ -87,7 +87,7 @@ Link::Link(SimObject *parent, const std::string &name,
                     [this] { return achievedBandwidth() / 1e9; }),
       params_(params),
       occupancy_(params.bandwidth / static_cast<double>(ticksPerSecond),
-                 store)
+                 store, this->name().c_str())
 {
 }
 
@@ -119,7 +119,9 @@ Link::transfer(Tick when, std::uint64_t bytes, bool high_priority)
         hp_busy_ticks_ += ser;
         done = when + ser;
     } else {
-        done = occupancy_.occupy(when, bytes);
+        // No transfer starts before the queue's now, so a run store
+        // may forget the windows behind it (DESIGN.md §12).
+        done = occupancy_.occupy(when, bytes, curTick());
         busy_ticks_ += ser;
     }
     // One batched bookkeeping touch per hop: counters and the

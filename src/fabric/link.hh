@@ -107,6 +107,13 @@ class Link : public SimObject
     /** Achieved bandwidth between the first and last transfer. */
     double achievedBandwidth() const;
 
+    /** Occupancy window spans this link holds in host memory
+     *  (mem::OccupancyTracker::residentSpans(); never in stats). */
+    std::size_t residentSpans() const
+    {
+        return occupancy_.residentSpans();
+    }
+
     /** Utilization = busy time / wall time observed (bulk VC). */
     double utilization() const;
 

@@ -16,16 +16,18 @@ RunWindows::seek(std::uint64_t w)
     // Run i is the answer when runs_[i - 1].end <= w < runs_[i].end.
     const auto holds = [&](std::size_t i) {
         return (i == 0 || runs_[i - 1].end <= w) &&
-               (i == runs_.size() || w < runs_[i].end);
+               (i == live_ || w < runs_[i].end);
     };
     if (holds(finger_))
         return finger_;
-    if (finger_ < runs_.size() && holds(finger_ + 1))
+    if (finger_ < live_ && holds(finger_ + 1))
         return ++finger_;
+    const auto first = runs_.begin();
     finger_ = static_cast<std::size_t>(
-        std::partition_point(runs_.begin(), runs_.end(),
+        std::partition_point(first,
+                             first + static_cast<std::ptrdiff_t>(live_),
                              [w](const Run &r) { return r.end <= w; }) -
-        runs_.begin());
+        first);
     return finger_;
 }
 
@@ -33,7 +35,7 @@ double
 RunWindows::usedAt(std::uint64_t w)
 {
     const std::size_t i = seek(w);
-    return i < runs_.size() && runs_[i].begin <= w ? runs_[i].used : 0.0;
+    return i < live_ && runs_[i].begin <= w ? runs_[i].used : 0.0;
 }
 
 WindowSpan
@@ -41,7 +43,7 @@ RunWindows::freeSpan(std::uint64_t w, double full)
 {
     std::size_t i = seek(w);
     std::uint64_t cur = w;
-    for (; i < runs_.size() && runs_[i].begin <= cur; ++i) {
+    for (; i < live_ && runs_[i].begin <= cur; ++i) {
         if (runs_[i].used < full) {
             finger_ = i;
             return {cur, runs_[i].end, runs_[i].used};
@@ -49,62 +51,48 @@ RunWindows::freeSpan(std::uint64_t w, double full)
         cur = runs_[i].end;
     }
     finger_ = i;
-    const std::uint64_t end = i < runs_.size()
+    const std::uint64_t end = i < live_
                                   ? runs_[i].begin
                                   : std::numeric_limits<std::uint64_t>::max();
     return {cur, end, 0.0};
 }
 
 void
-RunWindows::fill(std::uint64_t a, std::uint64_t b, double v, double)
+RunWindows::commit()
 {
-    std::size_t i = seek(a);
-    if (i == runs_.size() || runs_[i].begin > a) {
-        runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(i),
-                     Run{a, b, v});
-    } else {
-        const Run old = runs_[i];
-        if (old.used == v)
-            return;
-        const auto at = runs_.begin() + static_cast<std::ptrdiff_t>(i);
-        if (old.begin < a && b < old.end) {
-            // Carved from the middle: neither side can merge.
-            runs_[i].end = a;
-            runs_.insert(at + 1, {Run{a, b, v}, Run{b, old.end, old.used}});
-            finger_ = i + 1;
-            return;
-        }
-        if (old.begin < a) {
-            runs_[i].end = a;
-            runs_.insert(at + 1, Run{a, b, v});
-            ++i;
-        } else if (b < old.end) {
-            runs_[i].begin = b;
-            runs_.insert(at, Run{a, b, v});
-        } else {
-            runs_[i].used = v;
-        }
+    if (runs_.size() == live_)
+        return;
+    const std::size_t last = runs_.size() - 1 - live_;
+    // The rest of a run the charge ended inside, or a neighbour
+    // starting where it ended, which may merge.
+    keepOld(done_);
+    if (next_ < live_ && runs_[next_].begin <= done_) {
+        const Run r = runs_[next_++];
+        push(std::max(r.begin, done_), r.end, r.used);
     }
-    finger_ = mergeAround(i);
+    // Move the charge's runs from the back to just after the old ones
+    // they replace, then drop those.
+    const auto at = [&](std::size_t i) {
+        return runs_.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    std::rotate(at(next_), at(live_), runs_.end());
+    runs_.erase(at(splice_from_), at(next_));
+    live_ = runs_.size();
+    finger_ = splice_from_ + last;
 }
 
-std::size_t
-RunWindows::mergeAround(std::size_t i)
+void
+RunWindows::retire(std::uint64_t w)
 {
-    const auto joins = [&](std::size_t l) {
-        return runs_[l].end == runs_[l + 1].begin &&
-               runs_[l].used == runs_[l + 1].used;
-    };
-    if (i + 1 < runs_.size() && joins(i)) {
-        runs_[i].end = runs_[i + 1].end;
-        runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(i + 1));
-    }
-    if (i > 0 && joins(i - 1)) {
-        runs_[i - 1].end = runs_[i].end;
-        runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(i));
-        --i;
-    }
-    return i;
+    horizon_ = std::max(horizon_, w);
+    const auto dead = std::partition_point(
+        runs_.begin(), runs_.end(),
+        [&](const Run &r) { return r.end <= horizon_; });
+    const auto n = static_cast<std::size_t>(dead - runs_.begin());
+    runs_.erase(runs_.begin(), dead);
+    live_ = runs_.size();
+    finger_ = finger_ > n ? finger_ - n : 0;
+    retire_at_ = std::max(2 * live_, kMinRetire);
 }
 
 void
@@ -118,6 +106,16 @@ OccupancyTracker::checkRate(double bytes_per_tick, Tick window,
         !(bytes_per_tick * static_cast<double>(window) > 1e-6))
         fatal(who, ": rate ", bytes_per_tick,
               " B/tick leaves no window budget");
+}
+
+void
+OccupancyTracker::retiredCharge(Tick when) const
+{
+    panic(who_, ": occupancy charge at tick ", when,
+          " starts before window ", runs_.horizon(), " (tick ",
+          runs_.horizon() * window_,
+          "), which was retired: a transfer started before the "
+          "now it was promised");
 }
 
 void
@@ -191,6 +189,7 @@ OccupancyTracker::restore(SnapshotReader &r)
         else
             dense_.fill(win, win + 1, used, full);
     }
+    runs_.commit();
 }
 
 } // namespace mem

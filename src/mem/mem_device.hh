@@ -172,6 +172,19 @@ class DenseWindows
         }
     }
 
+    /** fill() has written the loads already. */
+    void commit() {}
+
+    /** Windows held in host memory: every window of each page. */
+    std::size_t
+    size() const
+    {
+        std::size_t n = 0;
+        for (const auto &p : pages_)
+            n += p ? kPageWindows : 0;
+        return n;
+    }
+
     /** f(begin, end, used) for each loaded window, in order. */
     template <class F>
     void
@@ -316,10 +329,12 @@ class DenseWindows
  * load (unloaded windows are gaps), found through a finger on the
  * last run touched. A chunk crossing a thousand idle windows is one
  * run, charged by consumeSpan() in O(binades of the bytes left)
- * rather than per window, so bulk traffic costs O(runs touched) and
- * memory grows with requests, not bytes: the store for the node
- * fabric, where every request spans many windows. A lookup away from
- * the finger is a binary search.
+ * rather than per window, and a charge's loads are written in one
+ * splice, so bulk traffic costs O(runs touched): the store for the
+ * node fabric, where every request spans many windows. A lookup away
+ * from the finger is a binary search. Runs that end before the
+ * owner's now are dropped (retire()), so memory is bounded by the
+ * reservations ahead of now, not by the requests made.
  */
 class RunWindows
 {
@@ -330,24 +345,61 @@ class RunWindows
      *  the extent of its equal-load run or gap. */
     WindowSpan freeSpan(std::uint64_t w, double full);
 
-    /** Load windows [a, b) with @p v; [a, b) must lie inside one
-     *  run or gap. Neighbours of equal load merge. */
-    void fill(std::uint64_t a, std::uint64_t b, double v, double full);
+    /** Load windows [a, b) with @p v, after every window loaded
+     *  since the last commit(). The charge's runs build up behind
+     *  the old ones, which reads see alone until commit(). */
+    void
+    fill(std::uint64_t a, std::uint64_t b, double v, double)
+    {
+        if (runs_.size() == live_) {
+            // Start at the run holding a, or at a neighbour ending at
+            // a, which may merge.
+            splice_from_ = seek(a);
+            if (splice_from_ > 0 && runs_[splice_from_ - 1].end == a)
+                --splice_from_;
+            next_ = splice_from_;
+            done_ = next_ < live_ ? std::min(runs_[next_].begin, a) : a;
+        }
+        keepOld(a);
+        push(a, b, v);
+        done_ = b;
+    }
+
+    /** Write the charge's runs over the runs they replace, in one
+     *  splice. */
+    void commit();
+
+    /** True once the run vector has doubled since the last
+     *  retire(), so that dropping runs costs amortized O(1) each. */
+    bool retireDue() const { return live_ >= retire_at_; }
+
+    /** Drop the runs that end at or before window @p w: no later
+     *  charge may start before it. */
+    void retire(std::uint64_t w);
+
+    /** Windows below this one may have been dropped. */
+    std::uint64_t horizon() const { return horizon_; }
+
+    /** Runs held in host memory. */
+    std::size_t size() const { return live_; }
 
     /** f(begin, end, used) for each run, in order. */
     template <class F>
     void
     forEachSpan(F &&f) const
     {
-        for (const Run &r : runs_)
-            f(r.begin, r.end, r.used);
+        for (std::size_t i = 0; i < live_; ++i)
+            f(runs_[i].begin, runs_[i].end, runs_[i].used);
     }
 
     void
     clear()
     {
         runs_.clear();
+        live_ = 0;
         finger_ = 0;
+        horizon_ = 0;
+        retire_at_ = kMinRetire;
     }
 
   private:
@@ -358,17 +410,53 @@ class RunWindows
         double used;
     };
 
-    /** Index of the first run ending after @p w (runs_.size() when
-     *  none does); moves the finger there. */
+    /** Runs held before the first retire(). */
+    static constexpr std::size_t kMinRetire = 16;
+
+    /** Index of the first run ending after @p w (live_ when none
+     *  does); moves the finger there. */
     std::size_t seek(std::uint64_t w);
 
-    /** Merge run @p i with equal-load neighbours it touches;
-     *  @return its index afterwards. */
-    std::size_t mergeAround(std::size_t i);
+    /** Append the old loads on [done_, @p e) to the charge. */
+    void
+    keepOld(std::uint64_t e)
+    {
+        for (; next_ < live_ && runs_[next_].begin < e; ++next_) {
+            const Run r = runs_[next_];     // push() may reallocate
+            push(std::max(r.begin, done_), std::min(r.end, e), r.used);
+            if (r.end > e)
+                break;
+        }
+    }
 
+    /** Append [b, e) loaded @p u to the charge, merging it into an
+     *  equal run it touches. */
+    void
+    push(std::uint64_t b, std::uint64_t e, double u)
+    {
+        if (b >= e)
+            return;
+        if (runs_.size() > live_ && runs_.back().end == b &&
+            runs_.back().used == u)
+            runs_.back().end = e;
+        else
+            runs_.push_back({b, e, u});
+    }
+
+    /** The runs, then, from live_ on, the open charge's runs:
+     *  commit() puts those in place of runs [splice_from_, next_). */
     std::vector<Run> runs_;
-    /** Index of the last run touched; at most runs_.size(). */
+    std::size_t live_ = 0;
+    /** Index of the last run touched; at most live_. */
     std::size_t finger_ = 0;
+    std::size_t splice_from_ = 0;
+    /** The first old run the charge does not yet cover. */
+    std::size_t next_ = 0;
+    /** The charge covers the windows before this one. */
+    std::uint64_t done_ = 0;
+    std::uint64_t horizon_ = 0;
+    /** live_ at which retireDue() turns true. */
+    std::size_t retire_at_ = kMinRetire;
 };
 
 /**
@@ -390,6 +478,8 @@ class RunWindows
  * sizing, budgets, the 1e-6 fullness epsilon, completion rounding
  * and the snapshot format — is this class's alone, so both stores
  * give byte-identical completion ticks, windowLoads() and blobs.
+ * A run store given the owner's now forgets the windows before it;
+ * a dense store keeps every window it loads.
  */
 class OccupancyTracker
 {
@@ -406,10 +496,13 @@ class OccupancyTracker
     static constexpr Tick kMaxWindow = 1'000'000;
 
     /** @param bytes_per_tick Bandwidth (may be fractional); fatal
-     *  on a rate setBandwidth() rejects. */
+     *  on a rate setBandwidth() rejects.
+     *  @param who Owner named by the retired-window panic; must
+     *  outlive the tracker. */
     explicit OccupancyTracker(double bytes_per_tick = 0.0,
-                              Store store = Store::dense)
-        : use_runs_(store == Store::runs)
+                              Store store = Store::dense,
+                              const char *who = "occupancy")
+        : use_runs_(store == Store::runs), who_(who)
     {
         setBandwidth(bytes_per_tick);
     }
@@ -436,13 +529,32 @@ class OccupancyTracker
 
     /**
      * Consume @p bytes of budget starting no earlier than @p when.
+     * @param now The caller's promise that no charge, this one or a
+     *        later one, starts before it (the event queue's
+     *        curTick()); a run store drops the windows that end at or
+     *        before now's window. 0 promises nothing. A charge that
+     *        starts in a dropped window panics.
      * @return the tick at which the transfer finishes.
      */
     Tick
-    occupy(Tick when, std::uint64_t bytes)
+    occupy(Tick when, std::uint64_t bytes, Tick now = 0)
     {
-        return use_runs_ ? occupyIn(runs_, when, bytes)
-                         : occupyIn(dense_, when, bytes);
+        if (!use_runs_)
+            return occupyIn(dense_, when, bytes);
+        if (runs_.retireDue())
+            runs_.retire(now / window_);
+        if (when < runs_.horizon() * window_)
+            retiredCharge(when);
+        return occupyIn(runs_, when, bytes);
+    }
+
+    /** Window spans held in host memory: runs in a run store, every
+     *  window of each page in a dense one. A host-side diagnostic,
+     *  like CacheArray::residentLines(); it never enters stats. */
+    std::size_t
+    residentSpans() const
+    {
+        return use_runs_ ? runs_.size() : dense_.size();
     }
 
     /** Latest completion handed out (diagnostic only). */
@@ -492,6 +604,9 @@ class OccupancyTracker
      *  blobs do not depend on it. */
     static constexpr std::uint64_t kWatermarkBits = 9;
 
+    /** Panic on a charge at @p when, before the retired horizon. */
+    [[noreturn]] void retiredCharge(Tick when) const;
+
     /** Fatal, naming @p who, on a rate no tracker may hold on a
      *  grid of @p window ticks. */
     static void checkRate(double bytes_per_tick, Tick window,
@@ -527,6 +642,7 @@ class OccupancyTracker
             s.fill(a, b, v, full);
         };
         const auto finish = [&](Tick done) {
+            s.commit();
             last_done_ = std::max(last_done_, done);
             return done;
         };
@@ -552,7 +668,7 @@ class OccupancyTracker
         // Every window of a span offers the same budget - used, so
         // consumeSpan() gives the bit-exact result of a window-by-
         // window walk (take = min(avail, remaining); remaining -=
-        // take) in O(binades), stored as at most two fills.
+        // take) in O(binades), queued as at most two fills.
         for (w = w + 1;;) {
             const WindowSpan sp = s.freeSpan(w, full);
             const double span_avail = budget - sp.used;
@@ -583,6 +699,7 @@ class OccupancyTracker
     double bytes_per_tick_ = 0.0;
     Tick window_ = kMinWindow;
     bool use_runs_;
+    const char *who_;
     DenseWindows dense_;
     RunWindows runs_;
     /** The lowest window ever loaded, in 2^kWatermarkBits-window

@@ -225,7 +225,7 @@ NodeTopology::mi300xOctoNode(SimObject *parent)
 }
 
 CommWorld::CommWorld(NodeKind kind, const comm::CommParams &params)
-    : root(nullptr, "root"),
+    : root(nullptr, "root", &eq),
       topo(kind == NodeKind::quad
                ? NodeTopology::mi300aQuadNode(&root)
                : NodeTopology::mi300xOctoNode(&root)),

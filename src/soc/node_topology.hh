@@ -142,11 +142,13 @@ enum class NodeKind
 };
 
 /**
- * An all-device comm world: an event queue, a root, one Fig. 18
- * node and the communicator over every device socket. Built in one
- * fixed order (queue, root, topology, group), so restoreWorld() of
- * a blob saved from one world into a freshly built world of the same
- * kind and params resumes it exactly (DESIGN.md §16).
+ * An all-device comm world: an event queue, a root on it (so node
+ * links see the queue's now and retire the occupancy behind it), one
+ * Fig. 18 node and the communicator over every device socket. Built
+ * in one fixed order (queue, root, topology, group), so
+ * restoreWorld() of a blob saved from one world into a freshly built
+ * world of the same kind and params resumes it exactly (DESIGN.md
+ * §16).
  */
 class CommWorld
 {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 
@@ -326,6 +327,27 @@ TEST(CommTopology, OctoCommGroupExcludesHosts)
     EXPECT_TRUE(w.topo->isHost(9));
     EXPECT_EQ(w.group.numRanks(), 8u);
     EXPECT_TRUE(w.group.fullyConnected());
+}
+
+TEST(CommTopology, OctoLinksRetireOccupancyBehindNow)
+{
+    // Node links forget the occupancy windows behind the queue's now
+    // (DESIGN.md §12), so 200 all-reduces leave every link a few runs
+    // however many chunks it carried; a link keeping every window
+    // would hold a run or more per chunk.
+    CommWorld w(NodeKind::octo, fineGrained());
+    for (int i = 0; i < 200; ++i) {
+        w.run(Collective::allReduce, 2 * MiB,
+              i % 2 ? Algorithm::ring : Algorithm::direct);
+    }
+    std::size_t most = 0;
+    double busiest = 0;
+    for (const fabric::Link *l : w.topo->network()->allLinks()) {
+        most = std::max(most, l->residentSpans());
+        busiest = std::max(busiest, l->transfers.value());
+    }
+    EXPECT_LE(most, 32u);
+    EXPECT_GT(busiest, 400.0);
 }
 
 TEST(CommTopology, AllToAllBackedByCommEngine)

@@ -36,6 +36,45 @@ TEST(Link, BackToBackTransfersQueue)
     EXPECT_EQ(link.transfer(0, 1000), 2'000'000u);
 }
 
+TEST(Link, WithoutEventQueueKeepsEveryRun)
+{
+    // A link with no event queue is never given a now (curTick() is
+    // 0), so its run store retires nothing: it holds exactly the runs
+    // of a tracker charged directly.
+    SimObject root(nullptr, "root");
+    const LinkParams p = serdesIfLinkParams();
+    Link link(&root, "l", p, mem::OccupancyTracker::Store::runs);
+    mem::OccupancyTracker ref(
+        p.bandwidth / static_cast<double>(ticksPerSecond),
+        mem::OccupancyTracker::Store::runs);
+    for (Tick when = 0; when < 500 * 100'000; when += 100'000) {
+        EXPECT_EQ(link.transfer(when, 4096), ref.occupy(when, 4096) +
+                                                 p.latency);
+    }
+    EXPECT_EQ(link.residentSpans(), ref.residentSpans());
+    EXPECT_GE(link.residentSpans(), 500u);
+}
+
+TEST(LinkDeathTest, TransferBehindRetiredWindowPanics)
+{
+    // Driven from its event queue, a node link retires the windows
+    // behind now; a transfer that starts in one panics and names the
+    // link instead of reading it as free.
+    EventQueue eq;
+    SimObject root(nullptr, "root", &eq);
+    Link link(&root, "gpu0_to_gpu1", serdesIfLinkParams(),
+              mem::OccupancyTracker::Store::runs);
+    for (int i = 0; i < 64; ++i) {
+        eq.scheduleLambda(static_cast<Tick>(i) * 200'000, [&] {
+            link.transfer(eq.curTick(), 8192);
+        });
+    }
+    eq.run();
+    ASSERT_LT(link.residentSpans(), 64u);
+    EXPECT_DEATH(link.transfer(eq.curTick() / 2, 64),
+                 "gpu0_to_gpu1: occupancy charge at tick .* retired");
+}
+
 TEST(Link, HighPriorityBypassesQueue)
 {
     SimObject root(nullptr, "root");

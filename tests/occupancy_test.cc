@@ -5,11 +5,13 @@
  * case runs against both window stores, and a differential test
  * feeds the two the same seeded traffic. consumeSpan(), the closed
  * form the run store charges a span with, is checked against the
- * per-window loop it replaces.
+ * per-window loop it replaces. A run store given the caller's now
+ * retires the windows behind it and must still agree with both.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -417,6 +419,121 @@ TEST(OccupancyStores, MultiMiBTransfersAfterDerate)
         EXPECT_EQ(dense.windowLoads(), runs.windowLoads());
         EXPECT_EQ(saveTracker(dense, 0), saveTracker(runs, 0));
     }
+}
+
+namespace
+{
+
+/** The (window tick, load) pairs of @p t at or after window
+ *  now / @p window. */
+std::vector<std::pair<Tick, double>>
+loadsFrom(const OccupancyTracker &t, Tick now, Tick window)
+{
+    std::vector<std::pair<Tick, double>> out;
+    for (const auto &wl : t.windowLoads()) {
+        if (wl.first / window >= now / window)
+            out.push_back(wl);
+    }
+    return out;
+}
+
+} // anonymous namespace
+
+class OccupancyRetire : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(OccupancyRetire, RetiringRunStoreMatchesKeepingStores)
+{
+    // Seeded traffic that never starts before a moving now, through
+    // a dense store, a run store never given now (both keep every
+    // window) and a run store given now, which retires the windows
+    // behind it. A derate lands mid-stream and the three are saved
+    // at a random now and restored. Completions, the window loads at
+    // or after now and the blobs must agree, while the retiring
+    // store's runs stay below a bound the keeping one passes.
+    Rng rng(GetParam());
+    const double bw = 0.064 * static_cast<double>(1 + rng.nextBounded(4));
+    const Tick window = static_cast<Tick>(1024.0 / bw);
+    OccupancyTracker dense(bw, Store::dense);
+    OccupancyTracker keep(bw, Store::runs);
+    OccupancyTracker retiring(bw, Store::runs);
+    constexpr std::size_t kBound = 48;
+    std::size_t most = 0;
+    Tick now = 0;
+    for (int i = 0; i < 3000; ++i) {
+        if (i == 1000) {
+            const double f = 0.5 + 0.5 * rng.nextDouble();
+            dense.setBandwidth(bw * f);
+            keep.setBandwidth(bw * f);
+            retiring.setBandwidth(bw * f);
+        }
+        if (i == 2000) {
+            // saveWorld() saves at the queue's now.
+            const Tick at = now + rng.nextBounded(20'000'000);
+            const std::string blob = saveTracker(dense, at);
+            ASSERT_EQ(blob, saveTracker(keep, at));
+            ASSERT_EQ(blob, saveTracker(retiring, at));
+            dense = restoreTracker(blob, Store::dense);
+            keep = restoreTracker(blob, Store::runs);
+            retiring = restoreTracker(blob, Store::runs);
+            now = at;
+        }
+        // Half the steps stay within a few windows, and a third of
+        // the requests start at now itself, so that charges keep
+        // landing in the window now is in, next to retired ones.
+        now += rng.nextBool(0.5) ? rng.nextBounded(4 * window)
+                                 : rng.nextBounded(40'000'000);
+        const Tick when =
+            now + (rng.nextBool(0.3)   ? 0
+                   : rng.nextBool(0.8) ? rng.nextBounded(2'000'000)
+                                       : rng.nextBounded(200'000'000));
+        const std::uint64_t bytes =
+            rng.nextBool(0.3) ? 1024 + rng.nextBounded(2 * MiB)
+                              : 1 + rng.nextBounded(1024);
+        const Tick d = dense.occupy(when, bytes);
+        ASSERT_EQ(d, keep.occupy(when, bytes)) << "request " << i;
+        ASSERT_EQ(d, retiring.occupy(when, bytes, now))
+            << "request " << i << ": " << bytes << " B at " << when
+            << ", now " << now;
+        most = std::max(most, retiring.residentSpans());
+        ASSERT_LE(retiring.residentSpans(), kBound) << "request " << i;
+    }
+    EXPECT_GT(keep.residentSpans(), 4 * kBound);
+    EXPECT_GE(most, 16u);   // retirement ran
+    EXPECT_EQ(dense.nextFree(), retiring.nextFree());
+    EXPECT_EQ(loadsFrom(dense, now, window),
+              loadsFrom(retiring, now, window));
+    EXPECT_EQ(loadsFrom(keep, now, window),
+              loadsFrom(retiring, now, window));
+    EXPECT_EQ(saveTracker(dense, now), saveTracker(retiring, now));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OccupancyRetire,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(OccupancyRetire, NowZeroRetiresNothing)
+{
+    // A caller that promises nothing keeps every run.
+    OccupancyTracker a(0.064, Store::runs), b(0.064, Store::runs);
+    for (Tick when = 0; when < 400 * 100'000; when += 100'000) {
+        ASSERT_EQ(a.occupy(when, 4096), b.occupy(when, 4096, 0));
+    }
+    EXPECT_EQ(a.residentSpans(), b.residentSpans());
+    EXPECT_EQ(a.windowLoads(), b.windowLoads());
+}
+
+TEST(OccupancyRetireDeathTest, ChargeBeforeRetiredHorizonPanics)
+{
+    OccupancyTracker t(0.064, Store::runs, "node.link0");
+    Tick now = 0;
+    for (int i = 0; i < 64; ++i, now += 200'000)
+        t.occupy(now, 8192, now);
+    ASSERT_LT(t.residentSpans(), 64u);     // runs were retired
+    // A charge in the window now is in is still allowed.
+    t.occupy(now - now % 16'000, 64, now);
+    EXPECT_DEATH(t.occupy(now / 2, 64, now),
+                 "node.link0: occupancy charge at tick .* retired");
 }
 
 TEST(OccupancyRate, RateRestoreRejectsIsFatal)
