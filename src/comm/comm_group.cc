@@ -129,15 +129,14 @@ CommGroup::CommGroup(SimObject *parent, const std::string &name,
     // deterministic first-encounter order. Fully-connected groups
     // use exactly one link per ordered pair; multi-hop routes can
     // only share links, so this is an upper bound. Resolving each
-    // pair here also warms the network's route cache that runTask()
-    // replays per chunk.
+    // pair here also fills the network's route tables that
+    // runTask()'s sends walk per chunk.
     links_.reserve(ranks_.size() * (ranks_.size() - 1));
     for (std::size_t i = 0; i < ranks_.size(); ++i) {
         for (std::size_t j = 0; j < ranks_.size(); ++j) {
             if (i == j)
                 continue;
-            for (fabric::Link *l :
-                 net_->linkRoute(ranks_[i], ranks_[j]).links) {
+            for (fabric::Link *l : net_->route(ranks_[i], ranks_[j])) {
                 if (std::find(links_.begin(), links_.end(), l) ==
                     links_.end()) {
                     links_.push_back(l);
@@ -588,8 +587,8 @@ CommGroup::runTask(const OpHandle &op, std::uint32_t idx)
                                    [this, op, idx] { runTask(op, idx); });
         return;
     }
-    // send() replays the network's cached route for (src, dst),
-    // which a link fault invalidates and re-resolves.
+    // send() walks the network's route for (src, dst), which a
+    // link fault drops and recomputes.
     const auto res = net_->send(now, t.src, t.dst, t.bytes);
     // Chunk completion mutates shared per-op state (link_bytes_,
     // finish_ max-merge, dependent ready/deps, pending_); same-tick

@@ -321,9 +321,8 @@ class CommGroup : public SimObject
     /**
      * Closed-form chunking of a buffer into params_.chunk_bytes
      * pieces: @c count chunks, every one full-sized except the last.
-     * Replaces materializing a vector of chunk sizes per shard; the
-     * k-th chunk is chunk_bytes for k < count-1 and @c last for the
-     * final one, identical to the old chunksOf() sequence.
+     * The k-th chunk is chunk_bytes for k < count-1 and @c last for
+     * the final one.
      */
     struct ChunkSpan
     {
@@ -338,8 +337,7 @@ class CommGroup : public SimObject
 
     /**
      * Total chunks over the N near-equal shards of @p bytes
-     * (bytes % N shards of size bytes/N + 1, the rest bytes/N —
-     * the closed form of the old splitEven()).
+     * (bytes % N shards of size bytes/N + 1, the rest bytes/N).
      */
     std::uint64_t shardedChunkCount(std::uint64_t bytes) const;
 

@@ -1,8 +1,5 @@
 #include "fabric/network.hh"
 
-#include <algorithm>
-#include <deque>
-
 #include "sim/access_tracker.hh"
 #include "sim/logging.hh"
 
@@ -152,8 +149,6 @@ Network::invalidateRoutes()
 {
     routes_.assign(numNodes(), {});
     routes_valid_.assign(numNodes(), false);
-    link_routes_.assign(numNodes(), {});
-    ++route_epoch_;
 }
 
 void
@@ -163,84 +158,52 @@ Network::computeRoutesFrom(NodeId src) const
         ++route_recomputes_;
     const std::size_t n = numNodes();
     std::vector<NodeId> prev(n, src);
-    std::vector<int> dist(n, -1);
-    std::deque<NodeId> frontier;
-    dist[src] = 0;
-    frontier.push_back(src);
-    while (!frontier.empty()) {
-        const NodeId u = frontier.front();
-        frontier.pop_front();
+    std::vector<char> seen(n, 0);
+    // Breadth-first visit order, which doubles as the frontier.
+    std::vector<NodeId> order{src};
+    seen[src] = 1;
+    for (std::size_t head = 0; head < order.size(); ++head) {
+        const NodeId u = order[head];
         for (NodeId v : adjacency_[u]) {
-            if (dist[v] < 0) {
-                dist[v] = dist[u] + 1;
+            if (!seen[v]) {
+                seen[v] = 1;
                 prev[v] = u;
-                frontier.push_back(v);
+                order.push_back(v);
             }
         }
     }
-    routes_[src].assign(n, {});
-    for (NodeId dst = 0; dst < n; ++dst) {
-        if (dist[dst] < 0)
-            continue;           // unreachable: path() fatals on use
-        std::vector<NodeId> rev;
-        for (NodeId v = dst; v != src; v = prev[v])
-            rev.push_back(v);
-        rev.push_back(src);
-        std::reverse(rev.begin(), rev.end());
-        routes_[src][dst] = std::move(rev);
+    // A reached node's route is its BFS parent's plus the last hop;
+    // the visit order reaches every parent first. Unreachable nodes
+    // keep an empty route, which route() fatals on.
+    auto &table = routes_[src];
+    table.assign(n, {});
+    for (std::size_t i = 1; i < order.size(); ++i) {
+        const NodeId v = order[i];
+        table[v] = table[prev[v]];
+        table[v].push_back(links_.find({prev[v], v})->second.get());
     }
     routes_valid_[src] = true;
 }
 
-const std::vector<NodeId> &
-Network::path(NodeId src, NodeId dst) const
+const std::vector<Link *> &
+Network::route(NodeId src, NodeId dst) const
 {
+    static const std::vector<Link *> none;
     if (src >= numNodes() || dst >= numNodes())
         fatal("bad route endpoints ", src, " -> ", dst);
+    if (src == dst)
+        return none;
     if (!routes_valid_[src])
         computeRoutesFrom(src);
-    const auto &p = routes_[src][dst];
-    if (p.empty()) {
+    const auto &r = routes_[src][dst];
+    if (r.empty()) {
         fatal("fabric node '", nodeName(dst),
               "' unreachable from '", nodeName(src), "'",
               links_killed.value() > 0
                   ? " (link failures partitioned the fabric)"
                   : "");
     }
-    return p;
-}
-
-const LinkRoute &
-Network::linkRoute(NodeId src, NodeId dst) const
-{
-    // A resolved route implies a valid path: both caches are cleared
-    // together, so a hit skips path()'s checks.
-    if (src < link_routes_.size() && dst < link_routes_[src].size() &&
-        !link_routes_[src][dst].links.empty()) {
-        return link_routes_[src][dst];
-    }
-    const auto &p = path(src, dst);
-    auto &per_src = link_routes_[src];
-    if (per_src.empty())
-        per_src.resize(numNodes());
-    LinkRoute &r = per_src[dst];
-    if (r.links.empty() && p.size() > 1) {
-        r.links.reserve(p.size() - 1);
-        for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-            const auto it =
-                links_.find(std::make_pair(p[i], p[i + 1]));
-            r.links.push_back(it->second.get());
-        }
-    }
     return r;
-}
-
-unsigned
-Network::hopCount(NodeId src, NodeId dst) const
-{
-    if (src == dst)
-        return 0;
-    return static_cast<unsigned>(path(src, dst).size() - 1);
 }
 
 MessageResult
@@ -253,20 +216,12 @@ Network::send(Tick when, NodeId src, NodeId dst, std::uint64_t bytes,
         res.arrival = when;
         return res;
     }
-    return sendOnRoute(when, linkRoute(src, dst), bytes,
-                       high_priority);
-}
-
-MessageResult
-Network::sendOnRoute(Tick when, const LinkRoute &route,
-                     std::uint64_t bytes, bool high_priority)
-{
     // Sends consult the route tables killLink() mutates.
     EHPSIM_TRACK_READ(this, "topology");
     EHPSIM_TRACK_WRITE(this, "stats.messages");
     MessageResult res;
     Tick t = when;
-    for (Link *l : route.links) {
+    for (Link *l : route(src, dst)) {
         t = l->transfer(t, bytes, high_priority);
         res.energy_pj += static_cast<double>(bytes) *
                          l->params().energy_pj_per_byte;
@@ -283,7 +238,6 @@ Network::snapshot(SnapshotWriter &w) const
 {
     StatGroup::snapshot(w);
     w.putBool(faulted_);
-    w.putU64(route_epoch_);
     w.putU64(route_recomputes_);
     std::uint64_t valid = 0;
     for (std::size_t src = 0; src < routes_valid_.size(); ++src) {
@@ -311,7 +265,6 @@ Network::restore(SnapshotReader &r)
     }
     invalidateRoutes();
     const bool faulted = r.getBool();
-    const std::uint64_t epoch = r.getU64();
     const std::uint64_t recomputes = r.getU64();
     // Prewarm the sources that had valid route tables at save time
     // while faulted_ is still false: the checkpointed run computed
@@ -327,7 +280,6 @@ Network::restore(SnapshotReader &r)
         computeRoutesFrom(src);
     }
     faulted_ = faulted;
-    route_epoch_ = epoch;
     route_recomputes_ = recomputes;
 }
 

@@ -47,20 +47,6 @@ struct MessageResult
     double energy_pj = 0;
 };
 
-/**
- * A minimum-hop path resolved all the way to its Link objects, in
- * hop order. This is the fabric fast-path currency (DESIGN.md §12):
- * resolving a route once and replaying transfers over the cached
- * Link pointers skips the per-hop link-table lookup that used to run
- * per chunk. References are valid until the next topology mutation
- * (addNode/connect/killLink); cache them only alongside
- * routeEpoch().
- */
-struct LinkRoute
-{
-    std::vector<Link *> links;
-};
-
 class Network : public SimObject
 {
   public:
@@ -111,47 +97,29 @@ class Network : public SimObject
     /** All links (both directions), for stats sweeps. */
     std::vector<Link *> allLinks();
 
-    /** Minimum-hop path as a node sequence (fatal if unreachable). */
-    const std::vector<NodeId> &path(NodeId src, NodeId dst) const;
-
     /**
-     * The minimum-hop path resolved to Link pointers, cached per
-     * (src, dst) and rebuilt lazily after invalidation (fatal if
-     * unreachable). The reference is stable until the next topology
-     * mutation; revalidate with routeEpoch() before reuse across
-     * events.
+     * The minimum-hop path from @p src to @p dst as its Links, in
+     * hop order: empty when src == dst, fatal when @p dst is
+     * unreachable. Tables are filled per source on first use and
+     * dropped by every topology mutation (addNode, connect,
+     * killLink), so do not hold the reference across one.
      */
-    const LinkRoute &linkRoute(NodeId src, NodeId dst) const;
-
-    /**
-     * Monotonic counter bumped by every route invalidation
-     * (addNode, connect, killLink). A cached LinkRoute reference is
-     * valid only while this value is unchanged from when it was
-     * resolved.
-     */
-    std::uint64_t routeEpoch() const { return route_epoch_; }
+    const std::vector<Link *> &route(NodeId src, NodeId dst) const;
 
     /** Hop count of the minimum path (0 when src == dst). */
-    unsigned hopCount(NodeId src, NodeId dst) const;
+    unsigned hopCount(NodeId src, NodeId dst) const
+    {
+        return static_cast<unsigned>(route(src, dst).size());
+    }
 
     /**
      * Send @p bytes from @p src to @p dst starting at @p when.
-     * Charges serialization+occupancy on every hop; propagation
-     * latencies accumulate.
+     * Charges serialization+occupancy on every hop of route();
+     * propagation latencies accumulate.
      */
     MessageResult send(Tick when, NodeId src, NodeId dst,
                        std::uint64_t bytes,
                        bool high_priority = false);
-
-    /**
-     * Send @p bytes over an already-resolved route: identical
-     * timing, energy, and stats to send(), minus the route lookup.
-     * @p route must come from linkRoute() at the current
-     * routeEpoch(); a stale reference is a use-after-invalidate.
-     */
-    MessageResult sendOnRoute(Tick when, const LinkRoute &route,
-                              std::uint64_t bytes,
-                              bool high_priority = false);
 
     /** Sum of transfer energy over all links, joules. */
     double totalEnergyJoules() const;
@@ -167,8 +135,8 @@ class Network : public SimObject
     /**
      * @{ checkpoint (DESIGN.md §16). The base walk serializes every
      * Link child (liveness included); the Network appends its fault
-     * flag, route epoch, recompute counter, and the set of sources
-     * whose route tables were valid. restore() erases dead edges
+     * flag, recompute counter, and the set of sources whose route
+     * tables were valid. restore() erases dead edges
      * from the rebuilt adjacency (std::erase preserves the order of
      * the survivors, matching the straight-through kill sequence)
      * and recomputes the saved sources' routes *before* re-arming
@@ -190,16 +158,11 @@ class Network : public SimObject
     std::vector<std::vector<NodeId>> adjacency_;
 
     /**
-     * Route cache: routes_[src][dst] = node path, filled lazily per
-     * source (routes_valid_[src]).
+     * Route table: routes_[src][dst] = the Links of the min-hop
+     * path, filled per source on first use (routes_valid_[src]).
      */
-    mutable std::vector<std::vector<std::vector<NodeId>>> routes_;
+    mutable std::vector<std::vector<std::vector<Link *>>> routes_;
     mutable std::vector<char> routes_valid_;
-
-    /** Link-resolved route cache, filled lazily per (src, dst);
-     *  cleared (with routes_) on every topology mutation. */
-    mutable std::vector<std::vector<LinkRoute>> link_routes_;
-    std::uint64_t route_epoch_ = 0;
 
     /** Per-source route recomputes forced by link faults. */
     mutable std::uint64_t route_recomputes_ = 0;

@@ -1,13 +1,13 @@
 /**
  * @file
- * Adapter exposing a MemDevice across the fabric.
+ * Memory behind the fabric: the request/response exchange every
+ * fabric-routed memory access makes, and an adapter exposing a
+ * MemDevice across the network with it.
  *
- * A RemoteMemDevice makes "memory behind the network" composable: an
- * access issued at node @p src travels to @p dst (command packet, or
- * payload for writes), performs the target access, and returns
- * (payload for reads, ack for writes). This models, e.g., a CCD
- * reaching HBM channels on a remote IOD over USR links, or a host
- * CPU reaching a discrete GPU's HBM over PCIe.
+ * A RemoteMemDevice makes "memory behind the network" composable.
+ * It models, e.g., an IOD's Infinity Cache reaching its HBM stack
+ * over the interposer, or a host CPU reaching a discrete GPU's HBM
+ * over PCIe.
  */
 
 #ifndef EHPSIM_FABRIC_REMOTE_DEVICE_HH
@@ -21,12 +21,35 @@ namespace ehpsim
 namespace fabric
 {
 
+/** Command/ack packet overhead in bytes. */
+inline constexpr std::uint64_t controlBytes = 32;
+
+/**
+ * Carry a @p bytes access from @p src to @p dst and back, starting
+ * at @p when: the request (command, plus the payload when writing)
+ * goes out, @p serve(arrival) performs the access and returns its
+ * mem::AccessResult, and the response (payload when reading, ack
+ * when writing) returns. The result comes back with `complete`
+ * moved to the response's arrival.
+ */
+template <typename Serve>
+inline mem::AccessResult
+roundTrip(Network &net, Tick when, NodeId src, NodeId dst,
+          std::uint64_t bytes, bool write, Serve &&serve)
+{
+    const Tick arrival =
+        net.send(when, src, dst, controlBytes + (write ? bytes : 0))
+            .arrival;
+    mem::AccessResult r = serve(arrival);
+    r.complete = net.send(r.complete, dst, src,
+                          controlBytes + (write ? 0 : bytes))
+                     .arrival;
+    return r;
+}
+
 class RemoteMemDevice : public mem::MemDevice
 {
   public:
-    /** Command/ack packet overhead in bytes. */
-    static constexpr std::uint64_t controlBytes = 32;
-
     RemoteMemDevice(SimObject *parent, const std::string &name,
                     Network *net, NodeId src, NodeId dst,
                     mem::MemDevice *target)
@@ -38,23 +61,12 @@ class RemoteMemDevice : public mem::MemDevice
     access(Tick when, Addr addr, std::uint64_t bytes,
            bool write) override
     {
-        // Request: command packet, plus payload when writing.
-        const std::uint64_t req_bytes =
-            controlBytes + (write ? bytes : 0);
-        const auto req = net_->send(when, src_, dst_, req_bytes);
-        auto r = target_->access(req.arrival, addr, bytes, write);
-        // Response: payload when reading, ack when writing.
-        const std::uint64_t resp_bytes =
-            controlBytes + (write ? 0 : bytes);
-        const auto resp = net_->send(r.complete, dst_, src_,
-                                     resp_bytes);
-        r.complete = resp.arrival;
-        return r;
+        return roundTrip(*net_, when, src_, dst_, bytes, write,
+                         [&](Tick arrival) {
+                             return target_->access(arrival, addr,
+                                                    bytes, write);
+                         });
     }
-
-    NodeId srcNode() const { return src_; }
-
-    NodeId dstNode() const { return dst_; }
 
   private:
     Network *net_;

@@ -68,9 +68,7 @@ class Cache : public MemDevice
     stats::Scalar probe_invalidations;
     /** @} */
 
-  protected:
-    Tick latencyTicks() const { return latency_ticks_; }
-
+  private:
     CacheParams params_;
     CacheArray array_;
     MemDevice *below_;

@@ -76,20 +76,15 @@ MultiSocketNode::accessFlat(unsigned from_socket, unsigned xcd_index,
     const auto a = net->nodeByName("s" + std::to_string(from_socket));
     const auto b = net->nodeByName("s" + std::to_string(home));
 
-    // Request (payload rides along for writes).
-    constexpr std::uint64_t control = 32;
-    Tick t = net->send(when, a, b, control + (write ? bytes : 0))
-                 .arrival;
-    // The remote package serves it from its own fabric entry (the
-    // IF link lands on an IOD's I/O port).
+    // The remote package serves the request from its own fabric
+    // entry (the IF link lands on an IOD's I/O port).
     Package &target = *sockets_[home];
-    auto r = target.memAccessFrom(target.ioNode(0), t, local, bytes,
-                                  write);
-    // Response.
-    t = net->send(r.complete, b, a, control + (write ? 0 : bytes))
-            .arrival;
-    r.complete = t;
-    return r;
+    return fabric::roundTrip(*net, when, a, b, bytes, write,
+                             [&](Tick t) {
+                                 return target.memAccessFrom(
+                                     target.ioNode(0), t, local,
+                                     bytes, write);
+                             });
 }
 
 Tick

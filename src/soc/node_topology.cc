@@ -147,23 +147,18 @@ double
 NodeTopology::p2pBandwidth(unsigned a, unsigned b) const
 {
     // Bottleneck link along the route.
-    const auto &path = net_->path(nodes_[a], nodes_[b]);
     double bw = 1e30;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        auto *l = const_cast<fabric::Network *>(net_.get())
-                      ->link(path[i], path[i + 1]);
+    for (const fabric::Link *l : net_->route(nodes_[a], nodes_[b]))
         bw = std::min(bw, l->params().bandwidth);
-    }
     return bw;
 }
 
 Tick
-NodeTopology::p2pLatency(unsigned a, unsigned b)
+NodeTopology::p2pLatency(unsigned a, unsigned b) const
 {
-    const auto &path = net_->path(nodes_[a], nodes_[b]);
     Tick t = 0;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i)
-        t += net_->link(path[i], path[i + 1])->params().latency;
+    for (const fabric::Link *l : net_->route(nodes_[a], nodes_[b]))
+        t += l->params().latency;
     return t;
 }
 

@@ -103,7 +103,7 @@ class NodeTopology : public SimObject
     double p2pBandwidth(unsigned a, unsigned b) const;
 
     /** One-way latency between endpoints, ticks. */
-    Tick p2pLatency(unsigned a, unsigned b);
+    Tick p2pLatency(unsigned a, unsigned b) const;
 
     /** Aggregate node bisection bandwidth estimate (bytes/s). */
     double bisectionBandwidth() const;

@@ -137,7 +137,6 @@ Package::memAccessFrom(fabric::NodeId src, Tick when, Addr addr,
                        std::uint64_t bytes, bool write)
 {
     constexpr std::uint64_t stripe = 256;
-    constexpr std::uint64_t control = 32;
 
     mem::AccessResult res;
     res.hit = true;
@@ -157,22 +156,17 @@ Package::memAccessFrom(fabric::NodeId src, Tick when, Addr addr,
             slices_.empty() ? stack_nodes_[stack]
                             : iod_nodes_[stack_iod_[stack]];
 
-        // Request across the fabric (payload rides along for writes).
-        Tick t = net_->send(when, src, dst,
-                            control + (write ? chunk : 0)).arrival;
-        mem::AccessResult r;
-        if (!slices_.empty())
-            r = slices_[loc.channel]->access(t, loc.local, chunk,
-                                             write);
-        else
-            r = channels_[loc.channel]->access(t, loc.local, chunk,
-                                               write);
+        const auto r = fabric::roundTrip(
+            *net_, when, src, dst, chunk, write, [&](Tick t) {
+                if (slices_.empty())
+                    return channels_[loc.channel]->access(
+                        t, loc.local, chunk, write);
+                return slices_[loc.channel]->access(t, loc.local,
+                                                    chunk, write);
+            });
         res.hit = res.hit && r.hit;
         res.bytes_below += r.bytes_below;
-        // Response (payload for reads, ack for writes).
-        t = net_->send(r.complete, dst, src,
-                       control + (write ? 0 : chunk)).arrival;
-        complete = std::max(complete, t);
+        complete = std::max(complete, r.complete);
         a += chunk;
         remaining -= chunk;
     }

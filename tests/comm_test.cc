@@ -256,14 +256,14 @@ TEST(CommFaults, RouteCacheFollowsMidSimReroute)
     auto node = makeRingOnlyQuad(&root);
     CommGroup &group = *node->commGroup(&eq, fineGrained());
     const auto ranks = node->deviceRanks();
-    // Warm the Network's route cache with a collective.
+    // Fill the Network's route tables with a collective.
     auto first = group.allReduce(0, 4 * MiB, Algorithm::ring);
     group.waitAll();
     ASSERT_TRUE(first->done());
     // Fail the ranks[0] <-> ranks[1] ring link mid-sim. killLink()
-    // drops every cached LinkRoute and moves the route epoch; the
-    // next collective must re-resolve and pipeline the long way
-    // round instead of replaying a dead route.
+    // drops every route table; the next collective must recompute
+    // and pipeline the long way round instead of replaying a dead
+    // route.
     node->network()->killLink(ranks[0], ranks[1]);
     EXPECT_EQ(node->network()->hopCount(ranks[0], ranks[1]), 3u);
     auto second = group.sendRecv(eq.curTick(), 0, 1, 4 * MiB);

@@ -214,7 +214,7 @@ TEST(Network, UnreachableNodeFatal)
     Network net(&root, "net");
     const auto a = net.addNode("a", NodeKind::iod);
     const auto b = net.addNode("b", NodeKind::iod);
-    EXPECT_THROW(net.path(a, b), std::runtime_error);
+    EXPECT_THROW(net.route(a, b), std::runtime_error);
 }
 
 TEST(Network, RoutesRecomputedAfterTopologyChange)
@@ -266,60 +266,36 @@ TEST(Network, KilledLinkReroutesTheLongWayRound)
     EXPECT_FALSE(f.net.linkAlive(f.iod[0], f.iod[1]));
 }
 
-TEST(Network, LinkRouteCacheInvalidatedByMidSimKill)
+TEST(Network, RouteRecomputedAfterMidSimKill)
 {
     MeshFixture f;
-    // Resolve and use the 1-hop route, as a CommGroup would.
-    const LinkRoute &before = f.net.linkRoute(f.iod[0], f.iod[1]);
-    ASSERT_EQ(before.links.size(), 1u);
-    f.net.sendOnRoute(0, before, 4096);
-    const std::uint64_t epoch = f.net.routeEpoch();
-    // Kill the link mid-sim: the epoch must move (telling every
-    // cached LinkRoute holder to re-resolve) and the fresh route
-    // must go the long way round over live links only.
+    // Use the 1-hop route, as a CommGroup would.
+    ASSERT_EQ(f.net.route(f.iod[0], f.iod[1]).size(), 1u);
+    EXPECT_EQ(f.net.send(0, f.iod[0], f.iod[1], 4096).hops, 1u);
+    // Kill the link mid-sim: the next route goes the long way round
+    // over live links only, and send() takes it.
     f.net.killLink(f.iod[0], f.iod[1]);
-    EXPECT_GT(f.net.routeEpoch(), epoch);
-    const LinkRoute &after = f.net.linkRoute(f.iod[0], f.iod[1]);
-    ASSERT_EQ(after.links.size(), 3u);
-    for (const Link *l : after.links)
+    const auto &after = f.net.route(f.iod[0], f.iod[1]);
+    ASSERT_EQ(after.size(), 3u);
+    for (const Link *l : after)
         EXPECT_TRUE(l->alive());
-    const auto res = f.net.sendOnRoute(0, after, 4096);
+    const auto res = f.net.send(0, f.iod[0], f.iod[1], 4096);
     EXPECT_EQ(res.hops, 3u);
+    for (const Link *l : after)
+        EXPECT_EQ(l->bytes_moved.value(), 4096.0);
 }
 
-TEST(Network, RouteEpochTracksEveryTopologyMutation)
+TEST(Network, DerateLeavesRoutesAndReroutesUnchanged)
 {
-    SimObject root(nullptr, "root");
-    Network net(&root, "net");
-    std::uint64_t e = net.routeEpoch();
-    const auto a = net.addNode("a", NodeKind::iod);
-    EXPECT_GT(net.routeEpoch(), e);
-    e = net.routeEpoch();
-    const auto b = net.addNode("b", NodeKind::iod);
-    EXPECT_GT(net.routeEpoch(), e);
-    e = net.routeEpoch();
-    net.connect(a, b, usrLinkParams());
-    EXPECT_GT(net.routeEpoch(), e);
-    e = net.routeEpoch();
-    // Derating never moves routes (min-hop paths ignore bandwidth),
-    // so cached LinkRoutes stay valid and the epoch must hold still.
-    net.derateLink(a, b, 0.5);
-    EXPECT_EQ(net.routeEpoch(), e);
-    net.killLink(a, b);
-    EXPECT_GT(net.routeEpoch(), e);
-}
-
-TEST(Network, SendMatchesSendOnRoute)
-{
-    // send() is linkRoute() + sendOnRoute(); a fresh identical mesh
-    // must produce identical timing either way.
-    MeshFixture f1, f2;
-    const auto direct = f1.net.send(0, f1.xcd, f1.hbm, 1 << 20);
-    const auto routed = f2.net.sendOnRoute(
-        0, f2.net.linkRoute(f2.xcd, f2.hbm), 1 << 20);
-    EXPECT_EQ(direct.arrival, routed.arrival);
-    EXPECT_EQ(direct.hops, routed.hops);
-    EXPECT_DOUBLE_EQ(direct.energy_pj, routed.energy_pj);
+    MeshFixture f;
+    f.net.killLink(f.iod[0], f.iod[1]);
+    const std::vector<Link *> before = f.net.route(f.xcd, f.hbm);
+    const double reroutes = f.net.reroutes.value();
+    // Min-hop paths ignore bandwidth, so a derate neither moves a
+    // route nor forces a recompute.
+    f.net.derateLink(f.iod[1], f.iod[2], 0.5);
+    EXPECT_EQ(f.net.route(f.xcd, f.hbm), before);
+    EXPECT_EQ(f.net.reroutes.value(), reroutes);
 }
 
 TEST(Network, PartitionedGraphFatalsOnUseNotOnKill)

@@ -258,11 +258,36 @@ TEST(SnapshotErrors, FlippedPayloadByteIsFatal)
 {
     serve::ScenarioParams p;
     std::string blob = smallServeBlob(p);
-    // Flip a byte in a type tag or section name somewhere past the
-    // header; the tagged stream must notice before restoring junk.
-    blob[blob.size() / 3] ^= 0xff;
+    // Flip the type tag of the "objects" section marker, which
+    // saveWorld() writes once, between the event queue and the
+    // object tree: tag 0x07, a little-endian u32 name length, the
+    // name. Only the tag check can notice; the name still reads.
+    const std::string marker = std::string("\x07\x07\0\0\0", 5) +
+                               "objects";
+    const auto at = blob.find(marker);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(blob.find(marker, at + 1), std::string::npos);
+    ASSERT_GT(at, 12u);     // past the magic and version
+    blob[at] ^= 0xff;
     EXPECT_THROW(serve::resumeServingScenario(p, blob),
                  std::runtime_error);
+}
+
+TEST(SnapshotErrors, OlderFormatVersionIsFatal)
+{
+    serve::ScenarioParams p;
+    std::string blob = smallServeBlob(p);
+    // Version 2 blobs also stored the fabric's route epoch; this
+    // build must stop at the header rather than misread them.
+    blob[8] = 2;
+    try {
+        serve::resumeServingScenario(p, blob);
+        FAIL() << "a version-2 blob must not restore";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("format version 2"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SnapshotErrors, TrailingGarbageIsFatal)

@@ -73,6 +73,27 @@ TEST(Package, MemAccessFromXcdCompletes)
     EXPECT_GT(w.complete, 0u);
 }
 
+TEST(Package, MemAccessExchangeMovesExactBytes)
+{
+    // Two 256 B stripes from XCD 0: each is one request/response
+    // exchange over the XCD's link to its IOD, a 32 B command out
+    // and 32 B plus the stripe back for reads, swapped for writes.
+    for (const bool write : {false, true}) {
+        SimObject root(nullptr, "root");
+        Package pkg(&root, "mi300a", mi300aConfig());
+        pkg.memAccessFrom(pkg.xcdNode(0), 0, 0x10000, 512, write);
+        auto *net = pkg.network();
+        const auto xcd = pkg.xcdNode(0);
+        const auto iod = pkg.iodNode(0);
+        const double out = net->link(xcd, iod)->bytes_moved.value();
+        const double back = net->link(iod, xcd)->bytes_moved.value();
+        const double command = 2 * 32;
+        const double payload = 2 * (32 + 256);
+        EXPECT_EQ(out, write ? payload : command) << "write=" << write;
+        EXPECT_EQ(back, write ? command : payload) << "write=" << write;
+    }
+}
+
 TEST(Package, SecondAccessHitsInfinityCache)
 {
     SimObject root(nullptr, "root");
