@@ -37,6 +37,10 @@
  *                    blob into fresh worlds — the per-point cost a
  *                    forked sweep pays instead of re-simulating the
  *                    shared warmup prefix
+ *   system_build     building and destroying an MI300A ApuSystem and
+ *                    an octo MI300X NodeTopology: the set-up every
+ *                    world pays, counted in stats and groups
+ *                    registered and heap allocations per build
  *
  * JSON contract: everything under a benchmark's "deterministic" key
  * is byte-identical run-to-run (same build, any host); everything
@@ -52,8 +56,10 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -82,11 +88,51 @@ using namespace ehpsim;
 namespace
 {
 
+/** Heap allocations and bytes requested through operator new. */
+std::uint64_t g_heap_allocs = 0;
+std::uint64_t g_heap_bytes = 0;
+
+} // anonymous namespace
+
+// Every global operator new in this (single-threaded) binary counts
+// itself, so system_build can report the allocations a build makes.
+// Kept out of line so GCC does not pair an inlined free() with a new
+// expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    ++g_heap_allocs;
+    g_heap_bytes += n;
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace
+{
+
 struct BenchResult
 {
     std::string name;
     /** Deterministic payload: (key, integer value) pairs. */
     std::vector<std::pair<std::string, std::uint64_t>> det;
+    /**
+     * Counts that depend on the toolchain rather than the
+     * simulation (heap allocations), reported under "wall".
+     */
+    std::vector<std::pair<std::string, std::uint64_t>> host;
     double best_seconds = 0;
     /** Events fired per wall second (processed / best_seconds). */
     double events_per_sec = 0;
@@ -113,6 +159,8 @@ struct Sizes
     std::uint64_t cache_accesses;
     // apu_triad: elements per triad array
     std::uint64_t triad_elems;
+    // system_build: MI300A + octo builds per timed repetition
+    unsigned builds;
 };
 
 Sizes
@@ -120,9 +168,9 @@ sizesFor(bool quick)
 {
     if (quick)
         return {2'000, 20,        64,  1'000, 16 * MiB, 1, 16 * MiB,
-                512,   200'000,   100'000, 1 << 17};
+                512,   200'000,   100'000, 1 << 17, 2};
     return {20'000, 100,      256,   5'000,     64 * MiB,
-            4,      64 * MiB, 8'192, 2'000'000, 2'000'000, 1 << 21};
+            4,      64 * MiB, 8'192, 2'000'000, 2'000'000, 1 << 21, 20};
 }
 
 /** The comm benches' communicator: 1 MiB pipelining chunks. */
@@ -672,6 +720,70 @@ benchCheckpointFork(const Sizes &sz, unsigned repeat)
     return r;
 }
 
+/**
+ * World set-up: build and destroy an MI300A ApuSystem and an octo
+ * MI300X NodeTopology, sz.builds times each per repetition. Every
+ * CU, cache, slice, HBM channel and link is a SimObject with its own
+ * stats, so set-up is mostly stat registration. The counters are the
+ * stats and groups each tree registers; the heap allocations and
+ * bytes one build of both make go under "wall", since they depend on
+ * the standard library. Its events_per_sec counts stats registered
+ * and its ops_per_sec builds (of both trees).
+ */
+BenchResult
+benchSystemBuild(const Sizes &sz, unsigned repeat)
+{
+    BenchResult r;
+    r.name = "system_build";
+    const soc::ProductConfig mi300a = soc::mi300aConfig();
+    const auto tally = [](const stats::StatGroup &root,
+                          std::uint64_t &nstats, std::uint64_t &ngroups) {
+        nstats = ngroups = 0;
+        forEachGroup(root, [&](const stats::StatGroup &g) {
+            nstats += g.statList().size();
+            ++ngroups;
+        });
+    };
+    double best = -1;
+    std::uint64_t apu_stats = 0, apu_groups = 0;
+    std::uint64_t octo_stats = 0, octo_groups = 0;
+    std::uint64_t allocs = 0, bytes = 0;
+    for (unsigned rep = 0; rep < repeat; ++rep) {
+        WallTimer wt;
+        for (unsigned b = 0; b < sz.builds; ++b) {
+            const std::uint64_t allocs0 = g_heap_allocs;
+            const std::uint64_t bytes0 = g_heap_bytes;
+            {
+                core::ApuSystem sys(mi300a);
+                tally(sys, apu_stats, apu_groups);
+            }
+            {
+                EventQueue eq;
+                SimObject root(nullptr, "root", &eq);
+                const auto topo = soc::NodeTopology::mi300xOctoNode(&root);
+                tally(root, octo_stats, octo_groups);
+            }
+            allocs = g_heap_allocs - allocs0;
+            bytes = g_heap_bytes - bytes0;
+        }
+        const double s = wt.seconds();
+        if (best < 0 || s < best)
+            best = s;
+    }
+    r.det = {{"builds", sz.builds},
+             {"apu_stats", apu_stats},
+             {"apu_groups", apu_groups},
+             {"octo_stats", octo_stats},
+             {"octo_groups", octo_groups}};
+    r.host = {{"allocs_per_build", allocs},
+              {"alloc_bytes_per_build", bytes}};
+    r.best_seconds = best;
+    r.events_per_sec =
+        static_cast<double>(sz.builds * (apu_stats + octo_stats)) / best;
+    r.ops_per_sec = static_cast<double>(sz.builds) / best;
+    return r;
+}
+
 void
 dumpJson(std::ostream &os, bool quick,
          const std::vector<BenchResult> &results)
@@ -695,6 +807,8 @@ dumpJson(std::ostream &os, bool quick,
         jw.kv("best_seconds", r.best_seconds);
         jw.kv("events_per_sec", r.events_per_sec);
         jw.kv("ops_per_sec", r.ops_per_sec);
+        for (const auto &[k, v] : r.host)
+            jw.kv(k, v);
         jw.endObject();
         jw.endObject();
     }
@@ -756,6 +870,7 @@ main(int argc, char **argv)
         {"cache_lookup", benchCacheLookup},
         {"apu_triad", benchApuTriad},
         {"checkpoint_fork", benchCheckpointFork},
+        {"system_build", benchSystemBuild},
     };
     std::vector<BenchResult> results;
     for (const auto &b : benches) {

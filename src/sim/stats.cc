@@ -12,8 +12,8 @@ namespace ehpsim
 namespace stats
 {
 
-StatBase::StatBase(StatGroup *parent, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
+StatBase::StatBase(StatGroup *parent, std::string name, StaticText desc)
+    : name_(std::move(name)), desc_(desc.c_str())
 {
     if (parent)
         parent->addStat(this);
@@ -108,8 +108,8 @@ Average::restore(SnapshotReader &r)
 }
 
 Distribution::Distribution(StatGroup *parent, std::string name,
-                           std::string desc)
-    : StatBase(parent, std::move(name), std::move(desc))
+                           StaticText desc)
+    : StatBase(parent, std::move(name), desc)
 {
     init(0, 1, 1);
 }
@@ -329,9 +329,9 @@ Percentile::restore(SnapshotReader &r)
     sorted_ = samples_.size() <= 1;
 }
 
-Formula::Formula(StatGroup *parent, std::string name, std::string desc,
+Formula::Formula(StatGroup *parent, std::string name, StaticText desc,
                  std::function<double()> fn)
-    : StatBase(parent, std::move(name), std::move(desc)),
+    : StatBase(parent, std::move(name), desc),
       fn_(std::move(fn))
 {
 }
@@ -351,18 +351,21 @@ Formula::dumpJson(json::JsonWriter &jw) const
 StatGroup::StatGroup(StatGroup *parent, std::string name)
     : parent_(parent), name_(std::move(name))
 {
-    if (parent_)
-        parent_->groups_.push_back(this);
+    if (!parent_)
+        return;
+    prev_ = parent_->group_tail_;
+    (prev_ ? prev_->next_ : parent_->group_head_) = this;
+    parent_->group_tail_ = this;
+    ++parent_->ngroups_;
 }
 
 StatGroup::~StatGroup()
 {
-    if (parent_) {
-        auto &siblings = parent_->groups_;
-        siblings.erase(std::remove(siblings.begin(), siblings.end(),
-                                   this),
-                       siblings.end());
-    }
+    if (!parent_)
+        return;
+    (prev_ ? prev_->next_ : parent_->group_head_) = next_;
+    (next_ ? next_->prev_ : parent_->group_tail_) = prev_;
+    --parent_->ngroups_;
 }
 
 std::string
@@ -382,18 +385,18 @@ StatGroup::dumpStats(std::ostream &os) const
     std::string path = statPath();
     if (!path.empty())
         path += ".";
-    for (const auto *stat : stats_)
+    for (const auto *stat : statList())
         stat->dump(os, path);
-    for (const auto *group : groups_)
+    for (const auto *group : groupList())
         group->dumpStats(os);
 }
 
 void
 StatGroup::resetStats()
 {
-    for (auto *stat : stats_)
+    for (auto *stat : statList())
         stat->reset();
-    for (auto *group : groups_)
+    for (auto *group : groupList())
         group->resetStats();
 }
 
@@ -401,9 +404,9 @@ void
 StatGroup::dumpJsonStats(json::JsonWriter &jw) const
 {
     jw.beginObject();
-    for (const auto *stat : stats_)
+    for (const auto *stat : statList())
         stat->dumpJson(jw);
-    for (const auto *group : groups_) {
+    for (const auto *group : groupList()) {
         jw.key(group->statName());
         group->dumpJsonStats(jw);
     }
@@ -427,13 +430,13 @@ StatGroup::snapshot(SnapshotWriter &w) const
 {
     w.section("group");
     w.putString(name_);
-    w.putU32(static_cast<std::uint32_t>(stats_.size()));
-    for (const auto *stat : stats_) {
+    w.putU32(static_cast<std::uint32_t>(nstats_));
+    for (const auto *stat : statList()) {
         w.putString(stat->name());
         stat->snapshot(w);
     }
-    w.putU32(static_cast<std::uint32_t>(groups_.size()));
-    for (const auto *group : groups_)
+    w.putU32(static_cast<std::uint32_t>(ngroups_));
+    for (const auto *group : groupList())
         group->snapshot(w);
 }
 
@@ -447,10 +450,10 @@ StatGroup::restore(SnapshotReader &r)
               "', checkpoint holds '", saved_name,
               "' — simulation shape mismatch");
     const auto nstats = r.getU32();
-    if (nstats != stats_.size())
-        fatal("snapshot: group '", statPath(), "' has ",
-              stats_.size(), " stats, checkpoint holds ", nstats);
-    for (auto *stat : stats_) {
+    if (nstats != nstats_)
+        fatal("snapshot: group '", statPath(), "' has ", nstats_,
+              " stats, checkpoint holds ", nstats);
+    for (auto *stat : statList()) {
         const std::string sname = r.getString();
         if (sname != stat->name())
             fatal("snapshot: group '", statPath(), "' expected stat '",
@@ -458,17 +461,17 @@ StatGroup::restore(SnapshotReader &r)
         stat->restore(r);
     }
     const auto ngroups = r.getU32();
-    if (ngroups != groups_.size())
-        fatal("snapshot: group '", statPath(), "' has ",
-              groups_.size(), " children, checkpoint holds ", ngroups);
-    for (auto *group : groups_)
+    if (ngroups != ngroups_)
+        fatal("snapshot: group '", statPath(), "' has ", ngroups_,
+              " children, checkpoint holds ", ngroups);
+    for (auto *group : groupList())
         group->restore(r);
 }
 
 StatBase *
 StatGroup::findStat(const std::string &name) const
 {
-    for (auto *stat : stats_) {
+    for (auto *stat : statList()) {
         if (stat->name() == name)
             return stat;
     }
@@ -482,7 +485,9 @@ StatGroup::addStat(StatBase *stat)
         panic("stat '", stat->name(), "' registered twice in group '",
               statPath(), "' — stat paths must be unique");
     }
-    stats_.push_back(stat);
+    (stat_tail_ ? stat_tail_->next_ : stat_head_) = stat;
+    stat_tail_ = stat;
+    ++nstats_;
 }
 
 } // namespace stats

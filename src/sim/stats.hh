@@ -12,8 +12,10 @@
 #ifndef EHPSIM_SIM_STATS_HH
 #define EHPSIM_SIM_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -34,16 +36,96 @@ namespace stats
 
 class StatGroup;
 
-/** Base class for all statistics. */
+/**
+ * A stat's description: text with static storage duration, held by
+ * pointer. The constructor is consteval, so only a constant
+ * expression such as a string literal converts; a description built
+ * at run time (`s.c_str()`) fails to compile instead of dangling.
+ * Registering a stat therefore copies no text (DESIGN.md §16).
+ */
+class StaticText
+{
+  public:
+    consteval StaticText(const char *text) : text_(text) {}
+
+    const char *c_str() const { return text_; }
+
+  private:
+    const char *text_;
+};
+
+/**
+ * A forward iterator over an intrusive list of @p Node: it yields
+ * Node pointers and steps along each node's next_ link.
+ */
+template <class Node>
+class ListIterator
+{
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Node *;
+    using difference_type = std::ptrdiff_t;
+
+    ListIterator() = default;
+
+    explicit ListIterator(Node *node) : node_(node) {}
+
+    Node *operator*() const { return node_; }
+
+    ListIterator &operator++()
+    {
+        node_ = node_->next_;
+        return *this;
+    }
+
+    ListIterator operator++(int)
+    {
+        ListIterator old = *this;
+        ++*this;
+        return old;
+    }
+
+    bool operator==(const ListIterator &) const = default;
+
+  private:
+    Node *node_ = nullptr;
+};
+
+/** The stats or child groups of one StatGroup, in registration order. */
+template <class Node>
+class ListRange
+{
+  public:
+    ListRange(Node *head, std::size_t size) : head_(head), size_(size) {}
+
+    ListIterator<Node> begin() const { return ListIterator<Node>(head_); }
+
+    ListIterator<Node> end() const { return ListIterator<Node>(); }
+
+    std::size_t size() const { return size_; }
+
+  private:
+    Node *head_;
+    std::size_t size_;
+};
+
+/**
+ * Base class for all statistics. A stat registers with its group on
+ * construction and is linked into it by address, so it can be
+ * neither copied nor moved.
+ */
 class StatBase
 {
   public:
-    StatBase(StatGroup *parent, std::string name, std::string desc);
+    StatBase(StatGroup *parent, std::string name, StaticText desc);
     virtual ~StatBase() = default;
+
+    StatBase(const StatBase &) = delete;
+    StatBase &operator=(const StatBase &) = delete;
 
     const std::string &name() const { return name_; }
 
-    const std::string &desc() const { return desc_; }
+    const char *desc() const { return desc_; }
 
     /** Emit "path value # desc" lines. */
     virtual void dump(std::ostream &os,
@@ -71,8 +153,13 @@ class StatBase
     /** @} */
 
   private:
+    friend class StatGroup;
+    friend class ListIterator<StatBase>;
+
     std::string name_;
-    std::string desc_;
+    const char *desc_;
+    /** The next stat registered in the same group. */
+    StatBase *next_ = nullptr;
 };
 
 /** A monotonically adjustable counter. */
@@ -140,7 +227,7 @@ class Average : public StatBase
 class Distribution : public StatBase
 {
   public:
-    Distribution(StatGroup *parent, std::string name, std::string desc);
+    Distribution(StatGroup *parent, std::string name, StaticText desc);
 
     /** Configure bucket range [lo, hi) with @p nbuckets buckets. */
     Distribution &init(double lo, double hi, unsigned nbuckets);
@@ -237,7 +324,7 @@ class Percentile : public StatBase
 class Formula : public StatBase
 {
   public:
-    Formula(StatGroup *parent, std::string name, std::string desc,
+    Formula(StatGroup *parent, std::string name, StaticText desc,
             std::function<double()> fn);
 
     double value() const { return fn_ ? fn_() : 0.0; }
@@ -254,7 +341,10 @@ class Formula : public StatBase
 
 /**
  * A named node in the statistics tree. Components own a StatGroup
- * (usually via inheritance) and declare stats as members.
+ * (usually via inheritance) and declare stats as members. A group
+ * keeps its stats and child groups as intrusive lists in
+ * registration order, so registering allocates nothing and a child
+ * unlinks itself in O(1) when destroyed (DESIGN.md §16).
  */
 class StatGroup
 {
@@ -284,9 +374,12 @@ class StatGroup
     /** Reset this group's subtree. */
     void resetStats();
 
-    const std::vector<StatBase *> &statList() const { return stats_; }
+    ListRange<StatBase> statList() const { return {stat_head_, nstats_}; }
 
-    const std::vector<StatGroup *> &groupList() const { return groups_; }
+    ListRange<StatGroup> groupList() const
+    {
+        return {group_head_, ngroups_};
+    }
 
     /**
      * @{ Checkpoint this group's subtree (DESIGN.md §16). The base
@@ -307,6 +400,7 @@ class StatGroup
 
   private:
     friend class StatBase;
+    friend class ListIterator<StatGroup>;
 
     /** Register @p stat; panics if the name is already taken in
      *  this group (the runtime twin of ehpsim-lint's dup-stat). */
@@ -314,8 +408,20 @@ class StatGroup
 
     StatGroup *parent_;
     std::string name_;
-    std::vector<StatBase *> stats_;
-    std::vector<StatGroup *> groups_;
+    /** @{ This group's stats, first and last registered. */
+    StatBase *stat_head_ = nullptr;
+    StatBase *stat_tail_ = nullptr;
+    /** @} */
+    /** @{ This group's child groups, first and last registered. */
+    StatGroup *group_head_ = nullptr;
+    StatGroup *group_tail_ = nullptr;
+    /** @} */
+    /** @{ Siblings under parent_, in registration order. */
+    StatGroup *prev_ = nullptr;
+    StatGroup *next_ = nullptr;
+    /** @} */
+    std::size_t nstats_ = 0;
+    std::size_t ngroups_ = 0;
 };
 
 /**

@@ -22,11 +22,16 @@
 namespace
 {
 
-/** Keys whose values depend on wall time, never on the simulation. */
+/**
+ * Keys whose values depend on wall time or the toolchain, never on
+ * the simulation.
+ */
 const char *const wallKeys[] = {
     "best_seconds",
     "events_per_sec",
     "ops_per_sec",
+    "allocs_per_build",
+    "alloc_bytes_per_build",
 };
 
 std::string
@@ -76,7 +81,8 @@ TEST(PerfKernel, QuickJsonHasSchemaAndBenchmarks)
     for (const char *name :
          {"schedule_churn", "oneshot_storm", "oneshot_storm_pooled",
           "comm_allreduce_octo", "fault_storm", "link_occupancy",
-          "cache_lookup", "apu_triad", "checkpoint_fork"}) {
+          "cache_lookup", "apu_triad", "checkpoint_fork",
+          "system_build"}) {
         EXPECT_NE(doc.find(std::string("\"name\": \"") + name + "\""),
                   std::string::npos)
             << "missing benchmark " << name;

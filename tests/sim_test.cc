@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -736,4 +742,196 @@ TEST(Stats, PercentileDumpJsonCarriesSummary)
     for (const char *key : {"\"p50\"", "\"p95\"", "\"p99\"",
                             "\"mean\"", "\"count\""})
         EXPECT_NE(doc.find(key), std::string::npos) << key;
+}
+
+// Every global operator new in this binary goes through here, so a
+// test can count the allocations a block of code makes. Kept out of
+// line so GCC does not pair an inlined free() with a new expression
+// (-Wmismatched-new-delete).
+namespace
+{
+std::atomic<std::uint64_t> g_new_calls{0};
+} // anonymous namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    g_new_calls.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+// statList() and groupList() are forward ranges of pointers.
+static_assert(std::forward_iterator<stats::ListIterator<stats::StatBase>>);
+static_assert(std::forward_iterator<stats::ListIterator<stats::StatGroup>>);
+
+TEST(StatsTree, RegistrationAllocatesNothing)
+{
+    // Names fit the string's inline buffer and the formula captures
+    // two pointers, which std::function stores inline: what is left
+    // to allocate is the registration itself.
+    const auto before = g_new_calls.load();
+    {
+        stats::StatGroup root(nullptr, "system");
+        stats::Scalar ticks(&root, "ticks", "simulated ticks");
+        stats::StatGroup cache(&root, "cache");
+        stats::Scalar hits(&cache, "hits", "demand hits");
+        stats::Scalar misses(&cache, "misses", "demand misses");
+        stats::Formula rate(&cache, "hit_rate", "hits per access",
+                            [h = &hits, m = &misses] {
+                                const double a = h->value() + m->value();
+                                return a > 0 ? h->value() / a : 0.0;
+                            });
+        stats::StatGroup port(&cache, "port");
+        stats::Scalar busy(&port, "busy", "busy ticks");
+        stats::StatGroup dram(&root, "dram");
+        stats::Scalar reads(&dram, "reads", "reads served");
+        EXPECT_EQ(g_new_calls.load(), before);
+        EXPECT_EQ(root.statList().size(), 1u);
+        EXPECT_EQ(root.groupList().size(), 2u);
+        EXPECT_EQ(cache.statList().size(), 3u);
+        EXPECT_EQ(cache.groupList().size(), 1u);
+        EXPECT_STREQ(rate.desc(), "hits per access");
+    }
+    EXPECT_EQ(g_new_calls.load(), before);
+}
+
+namespace
+{
+
+/** A child of the unlink tests: two stats, one in a nested group. */
+struct Child
+{
+    Child(stats::StatGroup *parent, const char *name, double v)
+        : group(parent, name), a(&group, "a", "first"),
+          inner(&group, "inner"), b(&inner, "b", "second")
+    {
+        a.set(v);
+        b.set(2 * v);
+    }
+
+    stats::StatGroup group;
+    stats::Scalar a;
+    stats::StatGroup inner;
+    stats::Scalar b;
+};
+
+/** A root with one stat and children c0..c<n-1>, all optional. */
+struct Tree
+{
+    static constexpr const char *kNames[] = {"c0", "c1", "c2", "c3",
+                                             "c4"};
+
+    /** Register the children in @p ids, in that order. */
+    explicit Tree(const std::vector<unsigned> &ids)
+    {
+        total.set(7);
+        for (const unsigned id : ids)
+            add(id);
+    }
+
+    void add(unsigned id) { kids[id].emplace(&root, kNames[id], id + 1.0); }
+
+    std::vector<std::string>
+    groupNames() const
+    {
+        std::vector<std::string> names;
+        for (const stats::StatGroup *g : root.groupList())
+            names.push_back(g->statName());
+        return names;
+    }
+
+    std::string
+    text() const
+    {
+        std::ostringstream os;
+        root.dumpStats(os);
+        return os.str();
+    }
+
+    std::string
+    json() const
+    {
+        std::ostringstream os;
+        stats::dumpJson(root, os);
+        return os.str();
+    }
+
+    std::string
+    blob() const
+    {
+        SnapshotWriter w;
+        root.snapshot(w);
+        return w.blob();
+    }
+
+    stats::StatGroup root{nullptr, "root"};
+    stats::Scalar total{&root, "total", "a root stat"};
+    std::array<std::optional<Child>, std::size(kNames)> kids;
+};
+
+/**
+ * @p got must read exactly as a tree built from @p ids does, and
+ * restore that tree's checkpoint.
+ */
+void
+expectSameAsBuilt(Tree &got, const std::vector<unsigned> &ids)
+{
+    const Tree want(ids);
+    EXPECT_EQ(got.groupNames(), want.groupNames());
+    EXPECT_EQ(got.root.groupList().size(), ids.size());
+    EXPECT_EQ(got.root.statList().size(), 1u);
+    EXPECT_EQ(*got.root.statList().begin(), &got.total);
+    EXPECT_EQ(got.text(), want.text());
+    EXPECT_EQ(got.json(), want.json());
+    const std::string blob = want.blob();
+    EXPECT_EQ(got.blob(), blob);
+    SnapshotReader r(blob);
+    got.root.restore(r);
+    EXPECT_TRUE(r.atEnd());
+}
+
+} // anonymous namespace
+
+TEST(StatsTree, UnlinkKeepsRegistrationOrder)
+{
+    // Destroy the first, a middle and the last child, in several
+    // orders; after each step the tree must be indistinguishable
+    // from one built without the destroyed children.
+    const std::vector<std::vector<unsigned>> orders = {
+        {0}, {2}, {3}, {0, 3}, {3, 0}, {1, 2}, {2, 1},
+        {3, 2, 1, 0}, {0, 1, 2, 3}, {1, 3, 0, 2},
+    };
+    for (const auto &order : orders) {
+        SCOPED_TRACE(::testing::PrintToString(order));
+        std::vector<unsigned> kept = {0, 1, 2, 3};
+        Tree tree(kept);
+        const std::string full_blob = tree.blob();
+        for (const unsigned id : order) {
+            tree.kids[id].reset();
+            kept.erase(std::find(kept.begin(), kept.end(), id));
+            expectSameAsBuilt(tree, kept);
+            // The checkpoint taken before any unlink holds more
+            // children than the tree now has.
+            SnapshotReader r(full_blob);
+            EXPECT_THROW(tree.root.restore(r), std::runtime_error);
+        }
+        // A child registered after the unlinks goes last.
+        tree.add(4);
+        kept.push_back(4);
+        expectSameAsBuilt(tree, kept);
+    }
 }
