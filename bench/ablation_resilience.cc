@@ -11,7 +11,7 @@
  *  - an x16 IF link killed mid-all-reduce: the fabric reroutes and
  *    the collective completes at measurably lower bandwidth;
  *  - CU harvesting swept 40 -> 28 per XCD: peak vector-fp32 flops;
- *  - HBM channel blackouts: surviving peak bandwidth after remap.
+ *  - HBM channel blackouts: surviving peak bandwidth and live channels.
  *
  * Sweep-shaped: every configuration is an independent SweepCase
  * (--jobs N, --json FILE).

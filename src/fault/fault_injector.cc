@@ -108,6 +108,11 @@ FaultInjector::arm()
         scheduleLinkFault(std::max(lf.at, eventq()->curTick()), i);
     }
     for (std::size_t i = 0; i < plan_.channel_faults.size(); ++i) {
+        const unsigned ch = plan_.channel_faults[i].channel;
+        if (ch >= hbm_->numChannels())
+            fatal(name(), ": plan blacks out HBM channel ", ch,
+                  " but ", hbm_->name(), " has ",
+                  hbm_->numChannels(), " channels");
         scheduleChannelFault(
             std::max(plan_.channel_faults[i].at, eventq()->curTick()),
             i);

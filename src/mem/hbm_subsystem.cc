@@ -1,9 +1,8 @@
 #include "mem/hbm_subsystem.hh"
 
-#include <algorithm>
-
 #include "sim/access_tracker.hh"
 #include "sim/logging.hh"
+#include "sim/snapshot.hh"
 
 namespace ehpsim
 {
@@ -12,36 +11,20 @@ namespace mem
 
 HbmSubsystem::HbmSubsystem(SimObject *parent, const std::string &name,
                            const HbmSubsystemParams &params)
-    : MemDevice(parent, name),
-      accesses(this, "accesses", "requests routed"),
-      total_bytes(this, "total_bytes", "bytes routed"),
+    : SimObject(parent, name),
       channels_dark(this, "channels_dark",
                     "HBM channels mapped out by faults"),
-      remapped_accesses(this, "remapped_accesses",
-                        "accesses redirected off dark channels"),
       degraded_peak_gbps(this, "degraded_peak_gbps",
                          "surviving peak HBM bandwidth, GB/s",
                          [this] { return peakHbmBandwidth() / 1e9; }),
-      params_(params),
-      map_(params.num_stacks, params.channels_per_stack,
-           params.capacity_bytes, params.numa)
+      channel_bandwidth_(params.channel.bandwidth),
+      channel_dead_(InterleaveMap(params.num_stacks,
+                                  params.channels_per_stack,
+                                  params.capacity_bytes, params.numa)
+                        .numChannels(),
+                    false),
+      live_channels_(numChannels())
 {
-    const unsigned n = map_.numChannels();
-    channels_.reserve(n);
-    slices_.reserve(n);
-    channel_remap_.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
-        channels_.push_back(std::make_unique<DramChannel>(
-            this, "ch" + std::to_string(i), params.channel));
-        if (params.enable_infinity_cache) {
-            slices_.push_back(std::make_unique<InfinityCacheSlice>(
-                this, "mall" + std::to_string(i), params.cache,
-                channels_.back().get()));
-        }
-        channel_remap_.push_back(i);
-    }
-    channel_dead_.assign(n, false);
-    live_channels_ = n;
 }
 
 void
@@ -54,45 +37,12 @@ HbmSubsystem::blackoutChannel(unsigned channel)
         fatal(name(), ": HBM channel ", channel, " already dark");
     if (live_channels_ == 1)
         fatal(name(), ": cannot blackout the last live HBM channel");
-    // The interleave remap below redirects every subsequent access;
-    // a same-tick accessor would see remap-order-dependent timing.
+    // A same-tick reader of the live count would see an
+    // order-dependent bandwidth.
     EHPSIM_TRACK_WRITE(this, "channels");
     channel_dead_[channel] = true;
     --live_channels_;
     ++channels_dark;
-
-    // Re-point every dark channel at a live stand-in: the next live
-    // channel in the same stack if one survives, otherwise the next
-    // live channel overall. Deterministic, so the remap (and every
-    // access it redirects) is identical across runs.
-    const unsigned n = numChannels();
-    const unsigned cps = map_.channelsPerStack();
-    for (unsigned c = 0; c < n; ++c) {
-        if (!channel_dead_[c]) {
-            channel_remap_[c] = c;
-            continue;
-        }
-        unsigned target = c;
-        const unsigned stack = c / cps;
-        const unsigned local = c % cps;
-        for (unsigned off = 1; off < cps; ++off) {
-            const unsigned cand = stack * cps + (local + off) % cps;
-            if (!channel_dead_[cand]) {
-                target = cand;
-                break;
-            }
-        }
-        if (channel_dead_[target]) {
-            for (unsigned off = 1; off < n; ++off) {
-                const unsigned cand = (c + off) % n;
-                if (!channel_dead_[cand]) {
-                    target = cand;
-                    break;
-                }
-            }
-        }
-        channel_remap_[c] = target;
-    }
 }
 
 bool
@@ -101,60 +51,14 @@ HbmSubsystem::channelAlive(unsigned channel) const
     return channel < numChannels() && !channel_dead_[channel];
 }
 
-AccessResult
-HbmSubsystem::access(Tick when, Addr addr, std::uint64_t bytes,
-                     bool write)
-{
-    ++accesses;
-    total_bytes += static_cast<double>(bytes);
-    first_access_ = std::min(first_access_, when);
-
-    // Split the request at stripe boundaries so each piece lands on
-    // one channel. For cache-line traffic (<= stripe) this is one
-    // piece; larger requests fan out across channels.
-    AccessResult res;
-    res.hit = true;
-    Tick complete = when;
-    Addr a = addr;
-    std::uint64_t remaining = bytes;
-    const std::uint64_t stripe = 256;
-    while (remaining > 0) {
-        const std::uint64_t in_stripe = stripe - (a % stripe);
-        const std::uint64_t chunk = std::min(remaining, in_stripe);
-        const ChannelLocation loc = map_.locate(a);
-        const unsigned ch = channel_remap_[loc.channel];
-        if (ch != loc.channel)
-            ++remapped_accesses;
-        AccessResult r;
-        if (params_.enable_infinity_cache) {
-            r = slices_[ch]->access(when, loc.local, chunk, write);
-        } else {
-            r = channels_[ch]->access(when, loc.local, chunk, write);
-        }
-        res.hit = res.hit && r.hit;
-        res.bytes_below += r.bytes_below;
-        complete = std::max(complete, r.complete);
-        a += chunk;
-        remaining -= chunk;
-    }
-    res.complete = complete;
-    last_complete_ = std::max(last_complete_, complete);
-    return res;
-}
-
 void
 HbmSubsystem::snapshot(SnapshotWriter &w) const
 {
     StatGroup::snapshot(w);
-    const unsigned n = numChannels();
-    w.putU32(n);
-    for (unsigned c = 0; c < n; ++c) {
-        w.putU32(channel_remap_[c]);
-        w.putBool(channel_dead_[c]);
-    }
+    w.putU32(numChannels());
+    for (const bool dead : channel_dead_)
+        w.putBool(dead);
     w.putU32(live_channels_);
-    w.putU64(first_access_);
-    w.putU64(last_complete_);
 }
 
 void
@@ -167,51 +71,15 @@ HbmSubsystem::restore(SnapshotReader &r)
               " HBM channels but configured with ", numChannels(),
               " — checkpoint/config mismatch");
     }
-    for (unsigned c = 0; c < n; ++c) {
-        channel_remap_[c] = r.getU32();
+    for (unsigned c = 0; c < n; ++c)
         channel_dead_[c] = r.getBool();
-    }
     live_channels_ = r.getU32();
-    first_access_ = r.getU64();
-    last_complete_ = r.getU64();
 }
 
 BytesPerSecond
 HbmSubsystem::peakHbmBandwidth() const
 {
-    return params_.channel.bandwidth * live_channels_;
-}
-
-BytesPerSecond
-HbmSubsystem::peakCacheBandwidth() const
-{
-    if (!params_.enable_infinity_cache)
-        return peakHbmBandwidth();
-    return params_.cache.hit_bandwidth * live_channels_;
-}
-
-double
-HbmSubsystem::achievedBandwidth(Tick now) const
-{
-    const Tick start = first_access_ == maxTick ? 0 : first_access_;
-    const Tick end = std::max(now, last_complete_);
-    if (end <= start)
-        return 0.0;
-    return total_bytes.value() / secondsFromTicks(end - start);
-}
-
-double
-HbmSubsystem::cacheHitRate() const
-{
-    if (!params_.enable_infinity_cache)
-        return 0.0;
-    double h = 0, m = 0;
-    for (const auto &s : slices_) {
-        h += s->hits.value();
-        m += s->misses.value();
-    }
-    const double a = h + m;
-    return a > 0 ? h / a : 0.0;
+    return channel_bandwidth_ * live_channels_;
 }
 
 } // namespace mem

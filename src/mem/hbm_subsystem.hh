@@ -1,24 +1,26 @@
 /**
  * @file
- * The full in-package memory system: interleave map + per-channel
- * Infinity Cache slice + HBM channel (paper Sec. IV.D).
+ * The in-package memory config and the HBM channel liveness that the
+ * blackout fault acts on (paper Sec. IV.D).
  *
  * MI300A: 8 stacks x 16 channels = 128 channels, 128 GB, ~5.3 TB/s
- * HBM peak and up to 17 TB/s from the Infinity Cache. The subsystem
- * is itself a MemDevice: the fabric (or a test) throws addresses at
- * it and the interleave map picks the slice.
+ * HBM peak. HbmSubsystemParams is each product's memory config;
+ * soc::Package builds the timed path from it (interleave map,
+ * Infinity Cache slices, channels). HbmSubsystem holds only which
+ * of those channels are still in service, so a fault can map one
+ * out and a reader (the serving engine) can derate by the live
+ * fraction. It has no timed path and builds no children.
  */
 
 #ifndef EHPSIM_MEM_HBM_SUBSYSTEM_HH
 #define EHPSIM_MEM_HBM_SUBSYSTEM_HH
 
-#include <memory>
 #include <vector>
 
 #include "mem/dram.hh"
 #include "mem/infinity_cache.hh"
 #include "mem/interleave.hh"
-#include "mem/mem_device.hh"
+#include "sim/sim_object.hh"
 
 namespace ehpsim
 {
@@ -36,34 +38,23 @@ struct HbmSubsystemParams
     bool enable_infinity_cache = true;  ///< MI250X has none
 };
 
-class HbmSubsystem : public MemDevice
+class HbmSubsystem : public SimObject
 {
   public:
+    /** Fatal on a geometry InterleaveMap rejects. */
     HbmSubsystem(SimObject *parent, const std::string &name,
                  const HbmSubsystemParams &params);
 
-    AccessResult access(Tick when, Addr addr, std::uint64_t bytes,
-                        bool write) override;
-
-    const InterleaveMap &interleave() const { return map_; }
-
-    const HbmSubsystemParams &params() const { return params_; }
-
-    unsigned numChannels() const { return map_.numChannels(); }
-
-    DramChannel *channel(unsigned i) { return channels_[i].get(); }
-
-    InfinityCacheSlice *slice(unsigned i)
+    unsigned
+    numChannels() const
     {
-        return params_.enable_infinity_cache ? slices_[i].get()
-                                             : nullptr;
+        return static_cast<unsigned>(channel_dead_.size());
     }
 
     /**
-     * Map out @p channel (HBM fault): its traffic re-interleaves
-     * onto a surviving stand-in channel — same stack preferred —
-     * and peak bandwidth drops accordingly. Fatal on a bad index,
-     * a channel that is already dark, or the last live channel.
+     * Map out @p channel (HBM fault): peak bandwidth drops by one
+     * channel's share. Fatal on a bad index, a channel that is
+     * already dark, or the last live channel.
      */
     void blackoutChannel(unsigned channel);
 
@@ -75,43 +66,21 @@ class HbmSubsystem : public MemDevice
     /** Peak HBM bandwidth across the live channels (bytes/s). */
     BytesPerSecond peakHbmBandwidth() const;
 
-    /** Peak Infinity-Cache bandwidth across the live slices
-     *  (bytes/s). */
-    BytesPerSecond peakCacheBandwidth() const;
-
-    /** Aggregate achieved bandwidth since construction. */
-    double achievedBandwidth(Tick now) const;
-
-    /** Aggregate Infinity-Cache hit rate (0 when disabled). */
-    double cacheHitRate() const;
-
     /** @{ statistics */
-    stats::Scalar accesses;
-    stats::Scalar total_bytes;
     stats::Scalar channels_dark;
-    stats::Scalar remapped_accesses;
     stats::Formula degraded_peak_gbps;
     /** @} */
 
-    /** @{ checkpoint: stats + channel/slice children (base walk),
-     *  then the blackout remap table, liveness, and watermarks
+    /** @{ checkpoint: stats, then the dead bits and the live count
      *  (DESIGN.md §16) */
     void snapshot(SnapshotWriter &w) const override;
     void restore(SnapshotReader &r) override;
     /** @} */
 
   private:
-    HbmSubsystemParams params_;
-    InterleaveMap map_;
-    std::vector<std::unique_ptr<DramChannel>> channels_;
-    std::vector<std::unique_ptr<InfinityCacheSlice>> slices_;
-    /** channel_remap_[c] = live stand-in for channel c (identity
-     *  while c is alive). */
-    std::vector<unsigned> channel_remap_;
+    BytesPerSecond channel_bandwidth_;
     std::vector<bool> channel_dead_;
-    unsigned live_channels_ = 0;
-    Tick first_access_ = maxTick;
-    Tick last_complete_ = 0;
+    unsigned live_channels_;
 };
 
 } // namespace mem

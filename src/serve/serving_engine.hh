@@ -46,7 +46,7 @@ class ServingEngine : public SimObject
     /**
      * @param comm TP communicator (required when config.tp > 1; the
      *        engine issues one measured all-reduce per iteration).
-     * @param hbm Optional memory subsystem: its live-channel ratio
+     * @param hbm Optional HBM channel liveness: its live-channel ratio
      *        derates bandwidth and shrinks the KV pool on blackout.
      */
     ServingEngine(SimObject *parent, const std::string &name,

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -232,6 +233,28 @@ TEST(ServingScenario, FaultsDegradeServiceWithoutLosingRequests)
     // slower end to end.
     EXPECT_GT(rf.makespan_s, rc.makespan_s);
     EXPECT_GE(rf.tpot_p95_s, rc.tpot_p95_s);
+}
+
+TEST(ServingScenario, HbmGroupHoldsOnlyChannelLiveness)
+{
+    // The HBM a scenario builds is the blackout fault's channel map,
+    // not a timed memory: no channel or slice children, and only the
+    // two liveness stats.
+    ScenarioParams p = tinyScenario();
+    p.tp = 2;
+    p.faults.channel_faults.push_back(fault::ChannelFault{5, 0});
+    const ScenarioResult r = runServingScenario(p);
+    EXPECT_EQ(r.channels_dark, 1u);
+    const std::string &doc = r.stats_json;
+    const auto at = doc.find("\"hbm\":");
+    ASSERT_NE(at, std::string::npos);
+    const auto open = doc.find('{', at);
+    const std::string body =
+        doc.substr(open + 1, doc.find('}', open) - open - 1);
+    EXPECT_EQ(body.find('{'), std::string::npos) << body;
+    EXPECT_EQ(std::count(body.begin(), body.end(), ':'), 2) << body;
+    EXPECT_NE(body.find("\"channels_dark\":"), std::string::npos);
+    EXPECT_NE(body.find("\"degraded_peak_gbps\":"), std::string::npos);
 }
 
 TEST(ServingScenario, UnknownDeviceIsFatal)

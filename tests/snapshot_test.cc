@@ -141,6 +141,36 @@ TEST(ServeCheckpoint, SplitSaveResumeMatchesStraight)
               scenarioJson(straight, resumed));
 }
 
+TEST(ServeCheckpoint, DarkChannelStaysDarkAfterResume)
+{
+    // Channel 3 goes dark before the checkpoint and is blacked out
+    // again after it. The second fault must find it dark whether the
+    // run goes straight through or resumes from the blob, so the
+    // dead bits are saved state.
+    serve::ScenarioParams p = faultedTp4Params();
+    p.faults.channel_faults = {{3, ticksFromSeconds(0.005)},
+                               {3, ticksFromSeconds(0.05)}};
+    p.checkpoint_at = ticksFromSeconds(0.01);
+    const auto expectAlreadyDark = [](const auto &run) {
+        try {
+            run();
+            ADD_FAILURE() << "the second blackout of channel 3 must "
+                             "be fatal";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("already dark"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
+    serve::ScenarioParams straight = p;
+    straight.checkpoint_at = 0;
+    expectAlreadyDark([&] { serve::runServingScenario(straight); });
+
+    const std::string blob = serve::checkpointServingScenario(p);
+    expectAlreadyDark([&] { serve::resumeServingScenario(p, blob); });
+}
+
 TEST(ServeCheckpoint, CheckpointAfterLastEventStillResumes)
 {
     // A checkpoint tick beyond the makespan quiesces to an empty
@@ -276,17 +306,24 @@ TEST(SnapshotErrors, FlippedPayloadByteIsFatal)
 TEST(SnapshotErrors, OlderFormatVersionIsFatal)
 {
     serve::ScenarioParams p;
-    std::string blob = smallServeBlob(p);
-    // Version 2 blobs also stored the fabric's route epoch; this
-    // build must stop at the header rather than misread them.
-    blob[8] = 2;
-    try {
-        serve::resumeServingScenario(p, blob);
-        FAIL() << "a version-2 blob must not restore";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("format version 2"),
-                  std::string::npos)
-            << e.what();
+    const std::string blob = smallServeBlob(p);
+    // Version 2 blobs also stored the fabric's route epoch, version 3
+    // ones an HBM remap table and per-channel children; this build
+    // must stop at the header rather than misread them.
+    for (const char ver : {2, 3}) {
+        std::string old = blob;
+        old[8] = ver;
+        const std::string want =
+            "format version " + std::to_string(ver);
+        try {
+            serve::resumeServingScenario(p, old);
+            ADD_FAILURE() << "a version-" << int(ver)
+                          << " blob must not restore";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(want),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

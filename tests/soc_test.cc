@@ -121,6 +121,16 @@ TEST(Package, LargeAccessSpreadsAcrossStacks)
             ++used_stacks;
     }
     EXPECT_GT(used_stacks, 4u);
+
+    // A 1 MiB stream reaches most of the 128 channels.
+    Package streamed(&root, "streamed", mi300aConfig());
+    streamed.memAccessFrom(streamed.xcdNode(0), 0, 0, 1 * MiB, false);
+    unsigned used_channels = 0;
+    for (unsigned ch = 0; ch < 128; ++ch) {
+        if (streamed.channel(ch)->bytes_served.value() > 0)
+            ++used_channels;
+    }
+    EXPECT_GT(used_channels, 100u);
 }
 
 TEST(Package, PartitionModesMatchFig17)
