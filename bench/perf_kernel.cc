@@ -16,6 +16,11 @@
  *                    scheduleCallback() pool fast path
  *   comm_allreduce   ring + direct all-reduce on the Fig. 18 octo
  *                    MI300X node, driven through CommGroup
+ *   comm_direct_tp8  back-to-back serving-sized (1.25 MiB) direct
+ *                    all-reduces over the eight octo ranks: the
+ *                    per-layer collective of TP-8 LLM serving, where
+ *                    building each op's chunk schedule is a large
+ *                    share of the work
  *   fault_storm      all-reduce under a transient chunk-error rate
  *                    plus mid-flight link derates (retry/backoff)
  *   link_occupancy   the occupancy layer alone, in the two shapes the
@@ -152,6 +157,8 @@ struct Sizes
     std::uint64_t comm_bytes;
     unsigned comm_iters;
     std::uint64_t fault_bytes;
+    // comm_direct_tp8
+    unsigned tp8_ops;
     // link_occupancy
     std::uint64_t link_chunks;
     std::uint64_t link_stripes;
@@ -167,10 +174,12 @@ Sizes
 sizesFor(bool quick)
 {
     if (quick)
-        return {2'000, 20,        64,  1'000, 16 * MiB, 1, 16 * MiB,
-                512,   200'000,   100'000, 1 << 17, 2};
-    return {20'000, 100,      256,   5'000,     64 * MiB,
-            4,      64 * MiB, 8'192, 2'000'000, 2'000'000, 1 << 21, 20};
+        return {2'000,   20,      64,      1'000,   16 * MiB,
+                1,       16 * MiB, 20,     512,     200'000,
+                100'000, 1 << 17, 2};
+    return {20'000,    100,       256,     5'000,     64 * MiB,
+            4,         64 * MiB,  200,     8'192,     2'000'000,
+            2'000'000, 1 << 21,   20};
 }
 
 /** The comm benches' communicator: 1 MiB pipelining chunks. */
@@ -364,19 +373,23 @@ benchOneshotStormPooled(const Sizes &sz, unsigned repeat)
     return r;
 }
 
-/** Ring + direct all-reduce on the octo node (Fig. 18b). */
+/**
+ * Time @p drive on a fresh octo world with the comm benches'
+ * communicator; @p drive returns the bytes x hops it placed.
+ */
+template <typename F>
 BenchResult
-benchCommAllReduce(const Sizes &sz, unsigned repeat)
+octoCommBench(const char *name, unsigned repeat, F &&drive)
 {
     BenchResult r;
-    r.name = "comm_allreduce_octo";
+    r.name = name;
     double best = -1;
     std::uint64_t processed = 0, final_tick = 0, link_bytes = 0;
     std::uint64_t peak_live = 0, heap_capacity = 0;
     for (unsigned rep = 0; rep < repeat; ++rep) {
         soc::CommWorld w(soc::NodeKind::octo, kCommParams);
         WallTimer wt;
-        link_bytes = ringThenDirect(w, sz.comm_iters, sz.comm_bytes);
+        link_bytes = drive(w);
         processed = w.eq.numProcessed();
         final_tick = w.eq.curTick();
         peak_live = w.eq.peakLive();
@@ -394,6 +407,39 @@ benchCommAllReduce(const Sizes &sz, unsigned repeat)
     r.events_per_sec = static_cast<double>(processed) / best;
     r.ops_per_sec = 2 * r.events_per_sec;
     return r;
+}
+
+/** Ring + direct all-reduce on the octo node (Fig. 18b). */
+BenchResult
+benchCommAllReduce(const Sizes &sz, unsigned repeat)
+{
+    return octoCommBench("comm_allreduce_octo", repeat,
+                         [&sz](soc::CommWorld &w) {
+                             return ringThenDirect(w, sz.comm_iters,
+                                                   sz.comm_bytes);
+                         });
+}
+
+/**
+ * TP-8 serving's per-layer all-reduce: 80 decode tokens of a
+ * Llama-2-70B hidden state (8192 x fp16) is 1.25 MiB, one 1 MiB
+ * chunk per shard, so each op is 112 transfers behind eight chunk
+ * joins and the run is mostly schedule building and dispatch.
+ */
+BenchResult
+benchCommDirectTp8(const Sizes &sz, unsigned repeat)
+{
+    constexpr std::uint64_t bytes = std::uint64_t{80} * 8192 * 2;
+    return octoCommBench(
+        "comm_direct_tp8", repeat, [&sz](soc::CommWorld &w) {
+            std::uint64_t lb = 0;
+            for (unsigned i = 0; i < sz.tp8_ops; ++i) {
+                lb += w.run(comm::Collective::allReduce, bytes,
+                            comm::Algorithm::direct)
+                          ->linkBytes();
+            }
+            return lb;
+        });
 }
 
 /**
@@ -865,6 +911,7 @@ main(int argc, char **argv)
         {"oneshot_storm", benchOneshotStorm},
         {"oneshot_storm_pooled", benchOneshotStormPooled},
         {"comm_allreduce_octo", benchCommAllReduce},
+        {"comm_direct_tp8", benchCommDirectTp8},
         {"fault_storm", benchFaultStorm},
         {"link_occupancy", benchLinkOccupancy},
         {"cache_lookup", benchCacheLookup},

@@ -233,42 +233,29 @@ CommGroup::taskCount(Collective kind, std::uint64_t bytes) const
 
 std::uint32_t
 CommGroup::addTask(CollectiveOp &op, unsigned src_rank,
-                   unsigned dst_rank, std::uint64_t bytes,
-                   const std::uint32_t *deps, std::uint32_t ndeps)
+                   unsigned dst_rank, std::uint64_t bytes, bool gated)
 {
     const auto idx = static_cast<std::uint32_t>(op.tasks_.size());
     CollectiveOp::Task t;
     t.src = ranks_[src_rank];
     t.dst = ranks_[dst_rank];
     t.bytes = bytes;
-    t.deps = ndeps;
+    t.gated = gated;
     op.tasks_.push_back(t);
-    for (std::uint32_t k = 0; k < ndeps; ++k)
-        edge_scratch_.emplace_back(deps[k], idx);
     return idx;
 }
 
 void
-CommGroup::finalizeDag(CollectiveOp &op)
+CommGroup::addJoin(CollectiveOp &op, std::uint32_t pred,
+                   std::uint32_t npred, std::uint32_t first,
+                   std::uint32_t cnt)
 {
-    op.dag_.clear();
-    op.dag_.resize(edge_scratch_.size());
-    for (const auto &e : edge_scratch_)
-        ++op.tasks_[e.first].dep_cnt;
-    std::uint32_t off = 0;
-    for (auto &t : op.tasks_) {
-        t.dep_off = off;
-        off += t.dep_cnt;
-        t.dep_cnt = 0;      // becomes the fill cursor below
-    }
-    // Stable fill: edges were recorded in addTask order, so each
-    // task's dependents land in the same order the old per-Task
-    // vectors held them.
-    for (const auto &[from, to] : edge_scratch_) {
-        CollectiveOp::Task &src = op.tasks_[from];
-        op.dag_[src.dep_off + src.dep_cnt++] = to;
-    }
-    edge_scratch_.clear();
+    // ready starts at 0, not at the op's start: every arrival is at
+    // or after the start, so the max over arrivals is the same.
+    const auto id = static_cast<std::uint32_t>(op.joins_.size());
+    op.joins_.push_back({npred, 0, first, cnt});
+    for (std::uint32_t k = pred; k < pred + npred; ++k)
+        op.tasks_[k].join = id;
 }
 
 void
@@ -280,6 +267,18 @@ CommGroup::buildRing(CollectiveOp &op, std::uint64_t bytes,
         return;
     op.tasks_.reserve(op.tasks_.size() + taskCount(op.kind_, bytes));
     const std::uint64_t cb = params_.chunk_bytes;
+    // A chunk travels `steps` hops around the ring from rank `from`;
+    // each hop's arrival releases the next through a one-task join.
+    const auto chain = [&](unsigned from, unsigned steps,
+                           std::uint64_t c) {
+        for (unsigned i = 0; i < steps; ++i) {
+            const std::uint32_t t =
+                addTask(op, (from + i) % n, (from + i + 1) % n, c,
+                        i > 0);
+            if (i + 1 < steps)
+                addJoin(op, t, 1, t + 1, 1);
+        }
+    };
 
     switch (op.kind_) {
       case Collective::allReduce:
@@ -291,65 +290,42 @@ CommGroup::buildRing(CollectiveOp &op, std::uint64_t bytes,
         const unsigned steps = op.kind_ == Collective::allReduce
                                    ? 2 * (n - 1)
                                    : n - 1;
-        // Each chunk is a chain of `steps` tasks: steps - 1 edges.
-        edge_scratch_.reserve(
-            (steps - 1) * shardedChunkCount(bytes));
+        op.joins_.reserve((steps - 1) * shardedChunkCount(bytes));
         const std::uint64_t q = bytes / n;
         const std::uint64_t rem = bytes % n;
         for (unsigned s = 0; s < n; ++s) {
             const std::uint64_t shard = q + (s < rem ? 1 : 0);
             const ChunkSpan span = chunkSpanOf(shard);
-            for (std::uint64_t k = 0; k < span.count; ++k) {
-                const std::uint64_t c =
-                    k + 1 == span.count ? span.last : cb;
-                std::uint32_t prev = 0;
-                for (unsigned i = 0; i < steps; ++i) {
-                    const unsigned src = (s + i) % n;
-                    const unsigned dst = (s + i + 1) % n;
-                    prev = addTask(op, src, dst, c,
-                                   i == 0 ? nullptr : &prev,
-                                   i == 0 ? 0 : 1);
-                }
-            }
+            for (std::uint64_t k = 0; k < span.count; ++k)
+                chain(s, steps, k + 1 == span.count ? span.last : cb);
         }
         break;
       }
       case Collective::broadcast: {
         // Chunks pipeline from the root around the ring.
         const ChunkSpan span = chunkSpanOf(bytes);
-        if (n > 2)
-            edge_scratch_.reserve((n - 2) * span.count);
-        for (std::uint64_t k = 0; k < span.count; ++k) {
-            const std::uint64_t c =
-                k + 1 == span.count ? span.last : cb;
-            std::uint32_t prev = 0;
-            for (unsigned i = 0; i + 1 < n; ++i) {
-                const unsigned src = (root + i) % n;
-                const unsigned dst = (root + i + 1) % n;
-                prev = addTask(op, src, dst, c,
-                               i == 0 ? nullptr : &prev,
-                               i == 0 ? 0 : 1);
-            }
-        }
+        op.joins_.reserve((n - 2) * span.count);
+        for (std::uint64_t k = 0; k < span.count; ++k)
+            chain(root, n - 1, k + 1 == span.count ? span.last : cb);
         break;
       }
       case Collective::allToAll: {
         // Pairwise-exchange rounds: in round i every rank sends its
         // block for rank r+i. Rounds are chained per sender, so the
-        // schedule keeps the round structure of the ring variant.
+        // schedule keeps the round structure of the ring variant:
+        // chunk k of round i releases chunk k of round i+1.
         const ChunkSpan span = chunkSpanOf(bytes);
-        if (n > 2)
-            edge_scratch_.reserve(n * span.count * (n - 2));
+        const auto stride = static_cast<std::uint32_t>(span.count);
+        op.joins_.reserve(n * span.count * (n - 2));
         for (unsigned r = 0; r < n; ++r) {
-            prev_scratch_.assign(span.count, 0);
             for (unsigned i = 1; i < n; ++i) {
                 for (std::uint64_t k = 0; k < span.count; ++k) {
                     const std::uint64_t c =
                         k + 1 == span.count ? span.last : cb;
-                    prev_scratch_[k] =
-                        addTask(op, r, (r + i) % n, c,
-                                i == 1 ? nullptr : &prev_scratch_[k],
-                                i == 1 ? 0 : 1);
+                    const std::uint32_t t =
+                        addTask(op, r, (r + i) % n, c, i > 1);
+                    if (i + 1 < n)
+                        addJoin(op, t, 1, t + stride, 1);
                 }
             }
         }
@@ -376,30 +352,26 @@ CommGroup::buildDirect(CollectiveOp &op, std::uint64_t bytes,
       case Collective::allReduce: {
         // Phase 1 (reduce-scatter): every rank sends its piece of
         // shard s straight to rank s. Phase 2 (all-gather): rank s
-        // returns the reduced shard to everyone; per chunk, phase 2
-        // waits on all of that chunk's phase-1 arrivals.
-        edge_scratch_.reserve(shardedChunkCount(bytes) *
-                              (n - 1) * (n - 1));
+        // returns the reduced shard to everyone; per chunk, one join
+        // holds phase 2 until all of that chunk's phase-1 arrivals.
+        op.joins_.reserve(shardedChunkCount(bytes));
         for (unsigned s = 0; s < n; ++s) {
             const std::uint64_t shard = q + (s < rem ? 1 : 0);
             const ChunkSpan span = chunkSpanOf(shard);
             for (std::uint64_t k = 0; k < span.count; ++k) {
                 const std::uint64_t c =
                     k + 1 == span.count ? span.last : cb;
-                id_scratch_.clear();
+                const auto rs =
+                    static_cast<std::uint32_t>(op.tasks_.size());
                 for (unsigned r = 0; r < n; ++r) {
-                    if (r != s) {
-                        id_scratch_.push_back(
-                            addTask(op, r, s, c, nullptr, 0));
-                    }
+                    if (r != s)
+                        addTask(op, r, s, c, false);
                 }
                 for (unsigned d = 0; d < n; ++d) {
-                    if (d != s) {
-                        addTask(op, s, d, c, id_scratch_.data(),
-                                static_cast<std::uint32_t>(
-                                    id_scratch_.size()));
-                    }
+                    if (d != s)
+                        addTask(op, s, d, c, true);
                 }
+                addJoin(op, rs, n - 1, rs + n - 1, n - 1);
             }
         }
         break;
@@ -413,7 +385,7 @@ CommGroup::buildDirect(CollectiveOp &op, std::uint64_t bytes,
                     k + 1 == span.count ? span.last : cb;
                 for (unsigned d = 0; d < n; ++d) {
                     if (d != s)
-                        addTask(op, s, d, c, nullptr, 0);
+                        addTask(op, s, d, c, false);
                 }
             }
         }
@@ -428,7 +400,7 @@ CommGroup::buildDirect(CollectiveOp &op, std::uint64_t bytes,
                     k + 1 == span.count ? span.last : cb;
                 for (unsigned r = 0; r < n; ++r) {
                     if (r != s)
-                        addTask(op, r, s, c, nullptr, 0);
+                        addTask(op, r, s, c, false);
                 }
             }
         }
@@ -441,7 +413,7 @@ CommGroup::buildDirect(CollectiveOp &op, std::uint64_t bytes,
                 k + 1 == span.count ? span.last : cb;
             for (unsigned d = 0; d < n; ++d) {
                 if (d != root)
-                    addTask(op, root, d, c, nullptr, 0);
+                    addTask(op, root, d, c, false);
             }
         }
         break;
@@ -455,7 +427,7 @@ CommGroup::buildDirect(CollectiveOp &op, std::uint64_t bytes,
                 for (std::uint64_t k = 0; k < span.count; ++k) {
                     const std::uint64_t c =
                         k + 1 == span.count ? span.last : cb;
-                    addTask(op, r, d, c, nullptr, 0);
+                    addTask(op, r, d, c, false);
                 }
             }
         }
@@ -489,7 +461,6 @@ CommGroup::bytesCounter(Collective c)
 OpHandle
 CommGroup::start(Tick when, OpHandle op)
 {
-    finalizeDag(*op);
     op->start_ = std::max(when, eventq()->curTick());
     op->finish_ = op->start_;
     op->pending_ = op->tasks_.size();
@@ -503,8 +474,6 @@ CommGroup::start(Tick when, OpHandle op)
         completeOp(*op);
         return op;
     }
-    for (auto &t : op->tasks_)
-        t.ready = op->start_;
     // Pre-size the scheduling heap for the op's worst-case fan-out
     // (every task scheduled at once, e.g. a dependency-free direct
     // schedule) so the burst below never grows it incrementally.
@@ -516,19 +485,19 @@ CommGroup::start(Tick when, OpHandle op)
                   [](const OpHandle &o) { return o->done(); });
     outstanding_.push_back(op);
     for (std::uint32_t i = 0; i < op->tasks_.size(); ++i) {
-        if (op->tasks_[i].deps == 0)
-            scheduleTask(op, i);
+        if (!op->tasks_[i].gated)
+            scheduleTask(op.get(), i, op->start_);
     }
     return op;
 }
 
 void
-CommGroup::scheduleTask(const OpHandle &op, std::uint32_t idx)
+CommGroup::scheduleTask(CollectiveOp *op, std::uint32_t idx, Tick when)
 {
-    // Pool fast path: the capture (this, OpHandle, idx) fits a
-    // recycled slot, so per-chunk scheduling allocates nothing in
-    // steady state.
-    eventq()->scheduleCallback(op->tasks_[idx].ready,
+    // Pool fast path: the capture (this, op, idx) fits a recycled
+    // slot, so per-chunk scheduling allocates nothing in steady
+    // state.
+    eventq()->scheduleCallback(when,
                                [this, op, idx] { runTask(op, idx); });
 }
 
@@ -558,7 +527,7 @@ CommGroup::backoffTicks(unsigned attempt) const
 }
 
 void
-CommGroup::runTask(const OpHandle &op, std::uint32_t idx)
+CommGroup::runTask(CollectiveOp *op, std::uint32_t idx)
 {
     CollectiveOp::Task &t = op->tasks_[idx];
     const Tick now = eventq()->curTick();
@@ -583,15 +552,14 @@ CommGroup::runTask(const OpHandle &op, std::uint32_t idx)
         ++chunk_retries;
         retry_wait_ticks += static_cast<double>(backoff);
         retry_latency.sample(static_cast<double>(backoff));
-        eventq()->scheduleCallback(now + backoff,
-                                   [this, op, idx] { runTask(op, idx); });
+        scheduleTask(op, idx, now + backoff);
         return;
     }
     // send() walks the network's route for (src, dst), which a
     // link fault drops and recomputes.
     const auto res = net_->send(now, t.src, t.dst, t.bytes);
     // Chunk completion mutates shared per-op state (link_bytes_,
-    // finish_ max-merge, dependent ready/deps, pending_); same-tick
+    // finish_ max-merge, join ready/deps, pending_); same-tick
     // completions of one op are the canonical batch-reorder case.
     EHPSIM_TRACK_WRITE(
         this, ("op" + std::to_string(op->id_) + ".state").c_str());
@@ -601,13 +569,16 @@ CommGroup::runTask(const OpHandle &op, std::uint32_t idx)
     link_bytes += static_cast<double>(moved);
     op->finish_ = std::max(op->finish_, res.arrival);
 
-    const std::uint32_t *dep = op->dag_.data() + t.dep_off;
-    for (std::uint32_t k = 0; k < t.dep_cnt; ++k) {
-        CollectiveOp::Task &dt = op->tasks_[dep[k]];
-        dt.ready = std::max(dt.ready, res.arrival);
-        if (--dt.deps == 0)
-            scheduleTask(op, dep[k]);
+    if (t.join != CollectiveOp::noJoin) {
+        CollectiveOp::Join &j = op->joins_[t.join];
+        j.ready = std::max(j.ready, res.arrival);
+        if (--j.deps == 0) {
+            for (std::uint32_t k = j.first; k < j.first + j.cnt; ++k)
+                scheduleTask(op, k, j.ready);
+        }
     }
+    // Nothing touches op after this: completeOp()'s callback may
+    // drop the last handle, and the next start() frees the op.
     if (--op->pending_ == 0)
         completeOp(*op);
 }
@@ -727,7 +698,7 @@ CommGroup::sendRecv(Tick when, unsigned src, unsigned dst,
             const std::uint64_t c = k + 1 == span.count
                                         ? span.last
                                         : params_.chunk_bytes;
-            addTask(*op, src, dst, c, nullptr, 0);
+            addTask(*op, src, dst, c, false);
         }
     }
     return start(when, op);

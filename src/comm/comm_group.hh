@@ -93,7 +93,8 @@ struct CommParams
 
 /**
  * One in-flight (or finished) collective. Handles are shared between
- * the caller and the scheduled events; inspect after waitAll().
+ * the caller and the group, which holds one until the op completes;
+ * inspect after waitAll().
  */
 class CollectiveOp
 {
@@ -146,17 +147,30 @@ class CollectiveOp
   private:
     friend class CommGroup;
 
-    /** One chunk moving src -> dst once @c deps transfers finished. */
+    static constexpr std::uint32_t noJoin = ~std::uint32_t{0};
+
+    /** One chunk moving src -> dst. */
     struct Task
     {
         fabric::NodeId src;
         fabric::NodeId dst;
         std::uint64_t bytes;
-        unsigned deps = 0;
         unsigned attempt = 0;   ///< transfer attempts failed so far
+        std::uint32_t join = noJoin;    ///< join its arrival feeds
+        bool gated = false;     ///< released by a join, not by start
+    };
+
+    /**
+     * A chunk barrier: when the last of its @c deps predecessors
+     * lands, it releases tasks [first, first + cnt) at @c ready, the
+     * latest arrival among them. A task feeds at most one join.
+     */
+    struct Join
+    {
+        unsigned deps = 0;
         Tick ready = 0;
-        std::uint32_t dep_off = 0;  ///< first dependent, index into dag_
-        std::uint32_t dep_cnt = 0;  ///< number of dependents in dag_
+        std::uint32_t first = 0;
+        std::uint32_t cnt = 0;
     };
 
     Collective kind_ = Collective::allReduce;
@@ -170,13 +184,7 @@ class CollectiveOp
     std::size_t pending_ = 0;
     std::function<void(Tick)> on_complete_;
     std::vector<Task> tasks_;
-    /**
-     * Dependent edges in CSR form: task i's dependents occupy
-     * dag_[tasks_[i].dep_off .. dep_off + dep_cnt). One arena per op
-     * instead of one vector per task, so building a collective does
-     * no per-chunk heap allocation (DESIGN.md §12).
-     */
-    std::vector<std::uint32_t> dag_;
+    std::vector<Join> joins_;
 };
 
 using OpHandle = std::shared_ptr<CollectiveOp>;
@@ -239,7 +247,7 @@ class CommGroup : public SimObject
      * One chunk-transfer attempt, as seen by the fault hook.
      * (op_id, task_index, attempt) uniquely and deterministically
      * names the attempt — op ids are assigned in start order and
-     * task indices in DAG construction order — so a stateless
+     * task indices in schedule construction order — so a stateless
      * counter-based fault model draws the same verdict for the same
      * attempt whatever the event order.
      */
@@ -349,23 +357,22 @@ class CommGroup : public SimObject
     std::uint64_t taskCount(Collective kind, std::uint64_t bytes) const;
 
     /**
-     * Append a task. Dependency edges are staged in edge_scratch_
-     * until finalizeDag() packs them into the op's CSR arena.
+     * Append a task; a @p gated one waits for the join that
+     * releases it, the rest start with the op.
      * @return the new task's index.
      */
     std::uint32_t addTask(CollectiveOp &op, unsigned src_rank,
                           unsigned dst_rank, std::uint64_t bytes,
-                          const std::uint32_t *deps,
-                          std::uint32_t ndeps);
+                          bool gated);
 
     /**
-     * Pack edge_scratch_ into op.dag_ with a stable counting sort:
-     * each task's dependents keep edge-insertion order, which is the
-     * order the old per-Task dependent vectors produced, so event
-     * scheduling order — and therefore every simulated tick — is
-     * unchanged.
+     * Make tasks [@p pred, @p pred + @p npred) feed one join that
+     * releases tasks [@p first, @p first + @p cnt), in index order,
+     * at the latest of their arrivals.
      */
-    void finalizeDag(CollectiveOp &op);
+    void addJoin(CollectiveOp &op, std::uint32_t pred,
+                 std::uint32_t npred, std::uint32_t first,
+                 std::uint32_t cnt);
 
     void buildRing(CollectiveOp &op, std::uint64_t bytes,
                    unsigned root);
@@ -380,8 +387,14 @@ class CommGroup : public SimObject
     /** Record stats, clamp the start tick, schedule ready tasks. */
     OpHandle start(Tick when, OpHandle op);
 
-    void scheduleTask(const OpHandle &op, std::uint32_t idx);
-    void runTask(const OpHandle &op, std::uint32_t idx);
+    /**
+     * Events capture a plain op pointer: outstanding_ keeps the op
+     * alive until its last task has run, and that task touches
+     * nothing after completeOp(), whose callback may drop the last
+     * handle and start the next op.
+     */
+    void scheduleTask(CollectiveOp *op, std::uint32_t idx, Tick when);
+    void runTask(CollectiveOp *op, std::uint32_t idx);
     void completeOp(CollectiveOp &op);
 
     stats::Scalar &bytesCounter(Collective c);
@@ -392,12 +405,6 @@ class CommGroup : public SimObject
     ChunkFaultHook fault_hook_;
     /** Every directed link some rank pair routes over. */
     std::vector<fabric::Link *> links_;
-    /** @{ construction scratch, reused across ops so steady-state
-     *  collective construction never allocates per chunk */
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edge_scratch_;
-    std::vector<std::uint32_t> prev_scratch_;
-    std::vector<std::uint32_t> id_scratch_;
-    /** @} */
     std::vector<OpHandle> outstanding_;
     Tick last_finish_ = 0;
 };

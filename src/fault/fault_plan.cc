@@ -1,5 +1,6 @@
 #include "fault/fault_plan.hh"
 
+#include <charconv>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -12,7 +13,8 @@ namespace fault
 void
 FaultPlan::validate() const
 {
-    if (chunk_error_rate < 0.0 || chunk_error_rate > 1.0)
+    // Negated so a NaN, which fails every compare, is rejected too.
+    if (!(chunk_error_rate >= 0.0 && chunk_error_rate <= 1.0))
         fatal("fault plan: chunk_error_rate ", chunk_error_rate,
               " out of [0, 1]");
     for (const auto &lf : link_faults) {
@@ -21,7 +23,7 @@ FaultPlan::validate() const
         if (lf.node_a == lf.node_b)
             fatal("fault plan: link fault '", lf.node_a,
                   "' to itself");
-        if (lf.derate < 0.0 || lf.derate >= 1.0)
+        if (!(lf.derate >= 0.0 && lf.derate < 1.0))
             fatal("fault plan: derate ", lf.derate, " for ",
                   lf.node_a, " <-> ", lf.node_b,
                   " out of [0, 1) (0 kills the link)");
@@ -52,20 +54,14 @@ parseLinkFault(const std::string &spec)
     LinkFault f;
     f.node_a = spec.substr(0, colon);
     f.node_b = spec.substr(colon + 1, at - colon - 1);
-    const auto star = spec.find('*', at + 1);
-    const std::string tick_str =
-        spec.substr(at + 1, star == std::string::npos
-                                ? std::string::npos
-                                : star - at - 1);
-    bool parsed = true;
-    try {
-        f.at = std::stoull(tick_str);
-        if (star != std::string::npos)
-            f.derate = std::stod(spec.substr(star + 1));
-    } catch (const std::logic_error &) {
-        parsed = false;
-    }
-    if (!parsed)
+    // from_chars skips no space and takes no '+' (nor a '-' for the
+    // unsigned tick); with the end check below, each number must
+    // span its field exactly.
+    const char *end = spec.data() + spec.size();
+    auto res = std::from_chars(spec.data() + at + 1, end, f.at);
+    if (res.ec == std::errc() && res.ptr != end && *res.ptr == '*')
+        res = std::from_chars(res.ptr + 1, end, f.derate);
+    if (res.ec != std::errc() || res.ptr != end)
         fatal("bad link fault '", spec, "' (want a:b@tick[*factor])");
     return f;
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -361,6 +362,182 @@ TEST(CommTopology, AllToAllBackedByCommEngine)
     const auto second = w.run(Collective::allToAll, 16 * MiB,
                               Algorithm::direct);
     EXPECT_GT(second->finishTick(), first->finishTick());
+}
+
+// ---------------------------------------------------------------------
+// Schedules: every chunk attempt pinned, and op lifetime
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** FNV-1a over the little-endian bytes of each word added. */
+struct Digest
+{
+    std::uint64_t h = 14695981039346656037ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+};
+
+constexpr Collective kAllCollectives[] = {
+    Collective::allReduce, Collective::allGather,
+    Collective::reduceScatter, Collective::broadcast,
+    Collective::allToAll, Collective::sendRecv,
+};
+
+/**
+ * Digest of every chunk attempt (tick, src, dst, bytes, op id, task
+ * index, attempt) and every op's finish tick and link bytes, for two
+ * concurrent ops of @p coll on a fresh @p kind world, over ring and
+ * direct and over 1 and 3 chunks per shard. The fault hook that logs
+ * the attempts also fails the first attempt of task 1 of every op:
+ * in an all-reduce that is a reduce-scatter transfer, so its chunk's
+ * all-gather waits for the retry while its siblings land early.
+ */
+std::uint64_t
+scheduleDigest(NodeKind kind, Collective coll)
+{
+    constexpr std::uint64_t cb = 64 * KiB;
+    Digest d;
+    for (const Algorithm algo : {Algorithm::ring, Algorithm::direct}) {
+        // sendRecv has one schedule whatever the algorithm.
+        if (coll == Collective::sendRecv && algo == Algorithm::ring)
+            continue;
+        for (const std::uint64_t chunks : {1u, 3u}) {
+            CommParams p;
+            p.chunk_bytes = cb;
+            CommWorld w(kind, p);
+            CommGroup &g = w.group;
+            const std::uint64_t n = g.numRanks();
+            // Sharded kinds split bytes n ways, the rest chunk it
+            // whole; - 3 leaves bytes % n != 0 and a short last
+            // chunk.
+            const bool sharded = coll == Collective::allReduce ||
+                                 coll == Collective::allGather ||
+                                 coll == Collective::reduceScatter;
+            const std::uint64_t bytes =
+                (sharded ? n : 1) * chunks * cb - 3;
+            g.setChunkFaultHook([&d](const CommGroup::ChunkAttempt &a) {
+                for (const std::uint64_t v :
+                     {std::uint64_t{a.when}, std::uint64_t{a.src},
+                      std::uint64_t{a.dst}, a.bytes, a.op_id,
+                      std::uint64_t{a.task_index},
+                      std::uint64_t{a.attempt}}) {
+                    d.add(v);
+                }
+                return a.task_index == 1 && a.attempt == 1;
+            });
+            OpHandle ops[2];
+            for (unsigned i = 0; i < 2; ++i) {
+                const auto last = static_cast<unsigned>(n - 1);
+                if (coll == Collective::sendRecv)
+                    ops[i] = g.sendRecv(0, i, last - i, bytes);
+                else if (coll == Collective::broadcast)
+                    ops[i] = g.broadcast(0, i ? last : 1, bytes, algo);
+                else
+                    ops[i] = g.collective(coll, 0, bytes, algo);
+            }
+            g.waitAll();
+            for (const OpHandle &op : ops) {
+                EXPECT_TRUE(op->done());
+                d.add(op->finishTick());
+                d.add(op->linkBytes());
+            }
+        }
+    }
+    return d.h;
+}
+
+} // anonymous namespace
+
+TEST(CommSchedule, ChunkAttemptLogMatchesPinnedDigest)
+{
+    // The digests pin each schedule's event order and ticks: a join
+    // must release its tasks in index order at the latest arrival
+    // among its predecessors. A change that moves one tick of one
+    // attempt fails here.
+    const struct
+    {
+        NodeKind kind;
+        Collective coll;
+        std::uint64_t digest;
+    } pins[] = {
+        {NodeKind::quad, Collective::allReduce,
+         0xa947479806ef6f33ull},
+        {NodeKind::quad, Collective::allGather,
+         0xcb9ff7b0a25f85fbull},
+        {NodeKind::quad, Collective::reduceScatter,
+         0x5893c1dacb82defbull},
+        {NodeKind::quad, Collective::broadcast,
+         0x033e4729e8b5464dull},
+        {NodeKind::quad, Collective::allToAll,
+         0x66a9298ebdcbf6a0ull},
+        {NodeKind::quad, Collective::sendRecv,
+         0x66adee09f9930dc2ull},
+        {NodeKind::octo, Collective::allReduce,
+         0x75b77d05a216b42bull},
+        {NodeKind::octo, Collective::allGather,
+         0xaa20e56ee36b3bf6ull},
+        {NodeKind::octo, Collective::reduceScatter,
+         0x29ff456862897476ull},
+        {NodeKind::octo, Collective::broadcast,
+         0xd533d9914fbc92c9ull},
+        {NodeKind::octo, Collective::allToAll,
+         0x8f1a581706eae33aull},
+        {NodeKind::octo, Collective::sendRecv,
+         0x317960ca88ccf72aull},
+    };
+    ASSERT_EQ(std::size(pins), 2 * std::size(kAllCollectives));
+    for (const auto &pin : pins) {
+        const std::uint64_t got = scheduleDigest(pin.kind, pin.coll);
+        EXPECT_EQ(got, pin.digest)
+            << (pin.kind == NodeKind::quad ? "quad " : "octo ")
+            << collectiveName(pin.coll) << ": 0x" << std::hex << got;
+    }
+}
+
+TEST(CommSchedule, CallbackDropsLastHandleAndChainsNextOp)
+{
+    // The serving engine's pattern: an op's completion callback drops
+    // the last handle to that op and starts the next one. The group
+    // then retires the finished op from inside the callback, so the
+    // chunk event that completed it must touch nothing afterwards
+    // (ASan catches a use after free here).
+    CommWorld w(NodeKind::octo, fineGrained());
+    struct Chain
+    {
+        explicit Chain(CommGroup &group) : g(group) {}
+
+        CommGroup &g;
+        OpHandle cur;
+        unsigned left = 200;
+        Tick last = 0;
+
+        void
+        launch(Tick when)
+        {
+            cur = g.allReduce(when, 1 * MiB + 5, Algorithm::direct);
+            cur->setOnComplete([this](Tick fin) {
+                EXPECT_GT(fin, last);
+                last = fin;
+                cur.reset();
+                if (--left > 0)
+                    launch(fin);
+            });
+        }
+    } chain(w.group);
+    chain.launch(0);
+    EXPECT_EQ(w.group.waitAll(), chain.last);
+    EXPECT_EQ(chain.left, 0u);
+    EXPECT_EQ(chain.cur, nullptr);
+    EXPECT_DOUBLE_EQ(w.group.ops_completed.value(), 200.0);
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -105,6 +106,35 @@ TEST(FaultPlan, ParseLinkFaultSpecs)
                  std::runtime_error);
     EXPECT_THROW(fault::parseLinkFault(":b@1"), std::runtime_error);
     EXPECT_THROW(fault::parseLinkFault("a:b@"), std::runtime_error);
+}
+
+TEST(FaultPlan, ParseLinkFaultRejectsPartialNumbers)
+{
+    // Trailing text, a sign, spaces or a missing factor: each number
+    // must span its whole field. A negative tick must not wrap to
+    // 2^64 - 5, a fault that would never fire.
+    for (const char *spec :
+         {"a:b@100x", "a:b@100*0.5zz", "a:b@-5", "a:b@ 7", "a:b@7 ",
+          "a:b@+7", "a:b@100*", "a:b@100*0.5*0.5", "a:b@1e3",
+          "a:b@99999999999999999999"}) {
+        EXPECT_THROW(fault::parseLinkFault(spec), std::runtime_error)
+            << spec;
+    }
+}
+
+TEST(FaultPlan, ValidateRejectsNaN)
+{
+    // A NaN fails both range compares; it must still fail validate()
+    // rather than fatal mid-run in Link::derate.
+    fault::FaultPlan plan;
+    plan.link_faults.push_back(fault::parseLinkFault("a:b@100*nan"));
+    ASSERT_TRUE(std::isnan(plan.link_faults[0].derate));
+    EXPECT_THROW(plan.validate(), std::runtime_error);
+    plan.link_faults[0] = fault::parseLinkFault("a:b@100*inf");
+    EXPECT_THROW(plan.validate(), std::runtime_error);
+    plan.link_faults.clear();
+    plan.chunk_error_rate = std::nan("");
+    EXPECT_THROW(plan.validate(), std::runtime_error);
 }
 
 TEST(FaultPlan, DescribeSummarizesThePlan)

@@ -80,9 +80,9 @@ TEST(PerfKernel, QuickJsonHasSchemaAndBenchmarks)
     EXPECT_NE(doc.find("\"quick\": true"), std::string::npos);
     for (const char *name :
          {"schedule_churn", "oneshot_storm", "oneshot_storm_pooled",
-          "comm_allreduce_octo", "fault_storm", "link_occupancy",
-          "cache_lookup", "apu_triad", "checkpoint_fork",
-          "system_build"}) {
+          "comm_allreduce_octo", "comm_direct_tp8", "fault_storm",
+          "link_occupancy", "cache_lookup", "apu_triad",
+          "checkpoint_fork", "system_build"}) {
         EXPECT_NE(doc.find(std::string("\"name\": \"") + name + "\""),
                   std::string::npos)
             << "missing benchmark " << name;
@@ -123,6 +123,12 @@ TEST(PerfKernel, FabricBenchCountersMatchGoldens)
         {"events_processed", "448"},
         {"final_tick", "491550000"},
         {"link_bytes", "469762048"},
+        // comm_direct_tp8, quick: 20 direct all-reduces of 1.25 MiB
+        // over the octo node, one 1 MiB chunk per shard, each shard's
+        // all-gather released by one chunk join.
+        {"events_processed", "2240"},
+        {"final_tick", "100378000"},
+        {"link_bytes", "367001600"},
         // fault_storm, quick: seeded fault plan over the quad node.
         // (Re-pinned when the transient-fault draw moved from a
         // sequential Rng stream to the counter-based hash of
