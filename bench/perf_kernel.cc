@@ -7,14 +7,14 @@
  * throughput bounds how large a sweep the repo can run. This bench
  * measures the kernel hot paths directly and emits BENCH_kernel.json:
  *
- *   schedule_churn   schedule/deschedule/reschedule mix over a pool
- *                    of persistent events (the deschedule-heavy
- *                    pattern retry/timeout logic produces)
- *   oneshot_storm    chains of one-shot callback events through the
- *                    std::function compat path (scheduleLambda)
- *   oneshot_storm_pooled  the same chains through the
- *                    scheduleCallback() pool fast path
- *   comm_allreduce   ring + direct all-reduce on the Fig. 18 octo
+ *   schedule_churn   rounds of a large population of one-shots at
+ *                    random ticks, each round drained: a deep live
+ *                    heap
+ *   oneshot_storm    chains of one-shot callback events, each boxed
+ *                    in a std::function
+ *   oneshot_storm_pooled  the same chains with the callable inline
+ *                    in its pool slot
+ *   comm_allreduce   ring + direct all-reduces on the Fig. 18 octo
  *                    MI300X node, driven through CommGroup
  *   comm_direct_tp8  back-to-back serving-sized (1.25 MiB) direct
  *                    all-reduces over the eight octo ranks: the
@@ -141,7 +141,7 @@ struct BenchResult
     double best_seconds = 0;
     /** Events fired per wall second (processed / best_seconds). */
     double events_per_sec = 0;
-    /** All kernel ops (schedule+deschedule+reschedule+fire) per s. */
+    /** All kernel ops (schedules and fires) per s. */
     double ops_per_sec = 0;
 };
 
@@ -153,10 +153,12 @@ struct Sizes
     // oneshot_storm
     std::size_t storm_chains;
     std::uint64_t storm_depth;
-    // comm / fault
+    // comm / fault / checkpoint_fork
     std::uint64_t comm_bytes;
     unsigned comm_iters;
     std::uint64_t fault_bytes;
+    // comm_allreduce_octo: ring + direct rounds
+    unsigned octo_iters;
     // comm_direct_tp8
     unsigned tp8_ops;
     // link_occupancy
@@ -174,12 +176,12 @@ Sizes
 sizesFor(bool quick)
 {
     if (quick)
-        return {2'000,   20,      64,      1'000,   16 * MiB,
-                1,       16 * MiB, 20,     512,     200'000,
-                100'000, 1 << 17, 2};
-    return {20'000,    100,       256,     5'000,     64 * MiB,
-            4,         64 * MiB,  200,     8'192,     2'000'000,
-            2'000'000, 1 << 21,   20};
+        return {2'000,   20,       64,      1'000,   16 * MiB,
+                1,       16 * MiB, 1,       20,      512,
+                200'000, 100'000,  1 << 17, 2};
+    return {20'000,    100,       256,       5'000,     64 * MiB,
+            4,         64 * MiB,  500,       8'000,     8'192,
+            2'000'000, 2'000'000, 1 << 21,   20};
 }
 
 /** The comm benches' communicator: 1 MiB pipelining chunks. */
@@ -204,24 +206,10 @@ ringThenDirect(soc::CommWorld &w, unsigned iters, std::uint64_t bytes)
     return lb;
 }
 
-class CountingEvent : public Event
-{
-  public:
-    explicit CountingEvent(std::uint64_t *fired) : fired_(fired) {}
-
-    void process() override { ++*fired_; }
-
-  private:
-    std::uint64_t *fired_;
-};
-
 /**
- * The deschedule-heavy pattern: every round schedules the whole
- * population, reschedules all of it once (retry/timeout idiom),
- * deschedules a quarter (cancelled timeouts), then drains. On the
- * tombstone kernel each reschedule/deschedule grows dead_seqs_ and
- * leaves a stale heap entry to skip; the indexed heap removes in
- * place.
+ * Every round schedules the whole population of one-shots at random
+ * ticks, then drains it: the heap holds the whole population at its
+ * peak, so each pop sifts through its full depth.
  */
 BenchResult
 benchScheduleChurn(const Sizes &sz, unsigned repeat)
@@ -234,27 +222,18 @@ benchScheduleChurn(const Sizes &sz, unsigned repeat)
     for (unsigned rep = 0; rep < repeat; ++rep) {
         fired = ops = 0;
         EventQueue eq;
-        std::vector<CountingEvent> events(sz.churn_events,
-                                          CountingEvent(&fired));
         Rng rng(12345);
         WallTimer wt;
         for (unsigned round = 0; round < sz.churn_rounds; ++round) {
             const Tick base = eq.curTick() + 1;
-            for (auto &ev : events) {
-                eq.schedule(&ev, base + rng.nextBounded(1024));
-                ++ops;
+            for (std::size_t i = 0; i < sz.churn_events; ++i) {
+                eq.scheduleCallback(base + rng.nextBounded(1024),
+                                    [&fired] { ++fired; });
             }
-            for (auto &ev : events) {
-                eq.reschedule(&ev, base + rng.nextBounded(1024));
-                ++ops;
-            }
-            for (std::size_t i = 0; i < events.size(); i += 4) {
-                eq.deschedule(&events[i]);
-                ++ops;
-            }
+            ops += sz.churn_events;
             eq.run();
-            ops += fired;
         }
+        ops += fired;
         final_tick = eq.curTick();
         processed = eq.numProcessed();
         peak_live = eq.peakLive();
@@ -282,13 +261,13 @@ void hop(EventQueue &eq, std::vector<std::uint64_t> &left,
 void
 hop(EventQueue &eq, std::vector<std::uint64_t> &left, std::size_t i)
 {
-    // Intentionally the std::function compat path, so baseline and
-    // pooled kernels run the same call site.
-    // ehpsim-lint: allow(event-alloc)
-    eq.scheduleLambda(eq.curTick() + 1 + (i % 7), [&eq, &left, i] {
-        if (--left[i] > 0)
-            hop(eq, left, i);
-    });
+    // Boxed in a std::function on purpose: the boxed one-shot path
+    // the pooled storm below skips.
+    eq.scheduleCallback(eq.curTick() + 1 + (i % 7),
+                        std::function<void()>([&eq, &left, i] {
+                            if (--left[i] > 0)
+                                hop(eq, left, i);
+                        }));
 }
 
 /**
@@ -340,8 +319,8 @@ poolHop(EventQueue &eq, std::vector<std::uint64_t> &left,
     });
 }
 
-/** The same chains through the scheduleCallback() pool fast path:
- *  no std::function, no per-event allocation in steady state. */
+/** The same chains with the callable inline in its pool slot: no
+ *  std::function, no per-event allocation in steady state. */
 BenchResult
 benchOneshotStormPooled(const Sizes &sz, unsigned repeat)
 {
@@ -415,7 +394,7 @@ benchCommAllReduce(const Sizes &sz, unsigned repeat)
 {
     return octoCommBench("comm_allreduce_octo", repeat,
                          [&sz](soc::CommWorld &w) {
-                             return ringThenDirect(w, sz.comm_iters,
+                             return ringThenDirect(w, sz.octo_iters,
                                                    sz.comm_bytes);
                          });
 }

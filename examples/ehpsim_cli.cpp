@@ -77,8 +77,8 @@
  * The race subcommand (requires a -DEHPSIM_RACE=ON build; exits 2
  * otherwise) runs the octo all-reduce and a fixed-seed serving
  * scenario under the ehpsim-race AccessTracker and emits the merged
- * ehpsim-race-v2 report: same-(tick, priority) order conflicts with
- * waiver status (DESIGN.md §14). Exit 1 when any conflict is
+ * ehpsim-race-v2 report: same-tick order conflicts with waiver
+ * status (DESIGN.md §14). Exit 1 when any conflict is
  * unwaived. The report is byte-identical for any --jobs value.
  *
  * A malformed flag value (not a number of the flag's type, a size

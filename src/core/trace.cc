@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace ehpsim
@@ -12,31 +13,21 @@ namespace core
 namespace
 {
 
-/** Escape a string for JSON. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
+/** One complete ("X") slice; zero-length slices are dropped. */
 void
-emitEvent(std::ostream &os, bool &first, const std::string &name,
-          int tid, double start_us, double dur_us)
+emitEvent(json::JsonWriter &jw, const std::string &name, int tid,
+          double start_us, double dur_us)
 {
     if (dur_us <= 0)
         return;
-    if (!first)
-        os << ",\n";
-    first = false;
-    os << "  {\"name\": \"" << jsonEscape(name)
-       << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << tid
-       << ", \"ts\": " << start_us << ", \"dur\": " << dur_us << "}";
+    jw.beginObject();
+    jw.kv("name", name);
+    jw.kv("ph", "X");
+    jw.kv("pid", 1);
+    jw.kv("tid", tid);
+    jw.kv("ts", start_us);
+    jw.kv("dur", dur_us);
+    jw.endObject();
 }
 
 } // anonymous namespace
@@ -44,8 +35,11 @@ emitEvent(std::ostream &os, bool &first, const std::string &name,
 void
 writeChromeTrace(const RunReport &report, std::ostream &os)
 {
-    os << "{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
-    bool first = true;
+    json::JsonWriter jw(os);
+    jw.beginObject();
+    jw.kv("displayTimeUnit", "ms");
+    jw.key("traceEvents");
+    jw.beginArray();
 
     // Track names.
     const struct
@@ -55,13 +49,16 @@ writeChromeTrace(const RunReport &report, std::ostream &os)
     } tracks[] = {{1, "GPU"}, {2, "CPU"}, {3, "host link"},
                   {4, "overheads"}};
     for (const auto &t : tracks) {
-        if (!first)
-            os << ",\n";
-        first = false;
-        os << "  {\"name\": \"thread_name\", \"ph\": \"M\", "
-              "\"pid\": 1, \"tid\": "
-           << t.tid << ", \"args\": {\"name\": \"" << t.name
-           << "\"}}";
+        jw.beginObject();
+        jw.kv("name", "thread_name");
+        jw.kv("ph", "M");
+        jw.kv("pid", 1);
+        jw.kv("tid", t.tid);
+        jw.key("args");
+        jw.beginObject();
+        jw.kv("name", t.name);
+        jw.endObject();
+        jw.endObject();
     }
 
     double cursor_us = 0;
@@ -71,23 +68,24 @@ writeChromeTrace(const RunReport &report, std::ostream &os)
         // Transfers precede the device work; overlap (total <
         // sum of parts) is rendered by overlapping the CPU slice
         // with the tail of the GPU slice.
-        emitEvent(os, first, p.name + " (copy)", 3, t,
-                  p.transfer_s * 1e6);
+        emitEvent(jw, p.name + " (copy)", 3, t, p.transfer_s * 1e6);
         t += p.transfer_s * 1e6;
-        emitEvent(os, first, p.name, 1, t, p.gpu_s * 1e6);
+        emitEvent(jw, p.name, 1, t, p.gpu_s * 1e6);
         const double serial = p.gpu_s + p.cpu_s + p.transfer_s +
                               p.overhead_s;
         const double overlap_us =
             serial > p.total_s ? (serial - p.total_s) * 1e6 : 0;
         const double cpu_start =
             t + p.gpu_s * 1e6 - overlap_us;
-        emitEvent(os, first, p.name, 2,
-                  cpu_start < t ? t : cpu_start, p.cpu_s * 1e6);
-        emitEvent(os, first, p.name + " (launch/sync)", 4, start,
+        emitEvent(jw, p.name, 2, cpu_start < t ? t : cpu_start,
+                  p.cpu_s * 1e6);
+        emitEvent(jw, p.name + " (launch/sync)", 4, start,
                   p.overhead_s * 1e6);
         cursor_us = start + p.total_s * 1e6;
     }
-    os << "\n]\n}\n";
+    jw.endArray();
+    jw.endObject();
+    os << "\n";
 }
 
 void

@@ -19,9 +19,9 @@ namespace
  *  under its own tracker, so no cross-thread state exists. */
 thread_local AccessTracker *tl_current = nullptr;
 
-/** Accesses kept per cell within one (tick, priority) window. A
- *  window bigger than this (a pathological batch) drops the
- *  overflow and reports it in summary.window_drops. */
+/** Accesses kept per cell within one tick's window. A bigger
+ *  window (a pathological tick) drops the overflow and reports it
+ *  in summary.window_drops. */
 constexpr std::size_t windowCap = 128;
 
 /** Shorten an absolute __FILE__ to its repo-relative tail so
@@ -54,16 +54,14 @@ AccessTracker::current()
 }
 
 void
-AccessTracker::beginEvent(Tick when, int priority, std::uint64_t seq)
+AccessTracker::beginEvent(Tick when, std::uint64_t seq)
 {
-    if (when != window_tick_ || priority != window_priority_) {
+    if (when != window_tick_) {
         window_.clear();
         window_tick_ = when;
-        window_priority_ = priority;
     }
     in_event_ = true;
     cur_tick_ = when;
-    cur_priority_ = priority;
     cur_seq_ = seq;
     ++events_;
 }
@@ -124,7 +122,7 @@ AccessTracker::noteConflict(const std::string &cell, std::string a,
                             std::string b)
 {
     // An order hazard between two sites is symmetric — which event
-    // the batch happened to dispatch first carries no information —
+    // happened to fire first carries no information —
     // so canonicalize the endpoint order to deduplicate the pair.
     if (b < a)
         std::swap(a, b);
@@ -222,12 +220,11 @@ TrackerScope::~TrackerScope()
     tl_current = prev_;
 }
 
-EventDispatchScope::EventDispatchScope(Tick when, int priority,
-                                       std::uint64_t seq)
+EventDispatchScope::EventDispatchScope(Tick when, std::uint64_t seq)
     : t_(tl_current)
 {
     if (t_)
-        t_->beginEvent(when, priority, seq);
+        t_->beginEvent(when, seq);
 }
 
 EventDispatchScope::~EventDispatchScope()

@@ -2,19 +2,19 @@
  * @file
  * ehpsim-race: the dynamic half of the determinism race detector.
  *
- * The event kernel guarantees a total order over (tick, priority,
- * seq), but batched dispatch (DESIGN.md §11) is only *allowed* to
- * exploit that order if no two events at the same (tick, priority)
- * touch the same state — seq is an implementation tiebreak, not a
- * scheduling contract. The AccessTracker checks exactly that
- * property at runtime:
+ * The event kernel guarantees a total order over (tick, seq), but
+ * seq — the order events were scheduled in — is an implementation
+ * tiebreak, not a scheduling contract: a model whose results depend
+ * on it is fragile under any change to who schedules what first.
+ * The AccessTracker checks that no two events at the same tick
+ * touch the same state:
  *
  *  - instrumented state mutations pass through EHPSIM_TRACK_READ /
  *    EHPSIM_TRACK_WRITE, which attribute the access to the event
  *    the EventQueue is currently dispatching;
  *  - two accesses to the same cell from *different* events at the
- *    same (tick, priority), at least one a write, are an order
- *    hazard: reordering the batch would change simulation results.
+ *    same tick, at least one a write, are an order hazard: firing
+ *    those events in another order would change simulation results.
  *
  * Reports are emitted as the byte-deterministic `ehpsim-race-v2`
  * JSON object (all aggregation is in sorted std::map keyed by
@@ -70,7 +70,7 @@ class AccessTracker
      * construction, topology building) are ignored — only
      * event-driven mutations can race.
      */
-    void beginEvent(Tick when, int priority, std::uint64_t seq);
+    void beginEvent(Tick when, std::uint64_t seq);
     void endEvent();
     /** @} */
 
@@ -149,14 +149,12 @@ class AccessTracker
 
     bool in_event_ = false;
     Tick cur_tick_ = 0;
-    int cur_priority_ = 0;
     std::uint64_t cur_seq_ = 0;
 
-    /** Accesses in the current (tick, priority) batch window,
-     *  per cell. Cleared when the window key changes, so memory is
-     *  bounded by the busiest single batch. */
+    /** Accesses in the current tick's window, per cell. Cleared
+     *  when the tick changes, so memory is bounded by the busiest
+     *  single tick. */
     Tick window_tick_ = 0;
-    int window_priority_ = 0;
     std::map<std::string, std::vector<Access>> window_;
     std::uint64_t window_drops_ = 0;
 
@@ -192,7 +190,7 @@ class TrackerScope
 class EventDispatchScope
 {
   public:
-    EventDispatchScope(Tick when, int priority, std::uint64_t seq);
+    EventDispatchScope(Tick when, std::uint64_t seq);
     ~EventDispatchScope();
 
     EventDispatchScope(const EventDispatchScope &) = delete;

@@ -14,7 +14,7 @@ namespace
 {
 
 constexpr char kMagic[8] = {'E', 'H', 'P', 'S', 'N', 'A', 'P', '1'};
-constexpr std::uint32_t kVersion = 4;
+constexpr std::uint32_t kVersion = 5;
 
 /** Value type tags; a mismatch means the stream is corrupt or the
  *  writer/reader walks diverged. */

@@ -10,7 +10,7 @@
  * whole layer serves: checkpoint -> restore -> run produces JSON
  * byte-identical to the straight-through run.
  *
- * Format (version 4): an 8-byte magic ("EHPSNAP1"), a little-endian
+ * Format (version 5): an 8-byte magic ("EHPSNAP1"), a little-endian
  * u32 format version, then a flat stream of tagged values. Every
  * value carries a one-byte type tag and every logical record starts
  * with a named section marker, so a truncated, bit-flipped, or
@@ -22,8 +22,8 @@
  *
  * Callables cannot be serialized, so pending one-shot events round
  * trip through the EventQueue's keyed-factory registry instead: the
- * writer records (tick, priority, seq, key, payload) and the reader
- * replays each through the factory registered under the key (see
+ * writer records (tick, seq, key, payload) and the reader replays
+ * each through the factory registered under the key (see
  * EventQueue::registerKeyedFactory).
  */
 

@@ -65,7 +65,7 @@ TEST(LinkDeathTest, TransferBehindRetiredWindowPanics)
     Link link(&root, "gpu0_to_gpu1", serdesIfLinkParams(),
               mem::OccupancyTracker::Store::runs);
     for (int i = 0; i < 64; ++i) {
-        eq.scheduleLambda(static_cast<Tick>(i) * 200'000, [&] {
+        eq.scheduleCallback(static_cast<Tick>(i) * 200'000, [&] {
             link.transfer(eq.curTick(), 8192);
         });
     }

@@ -39,7 +39,7 @@ void
 access(AccessTracker &t, Tick when, std::uint64_t seq,
        const char *cell, bool write, int line = 10)
 {
-    t.beginEvent(when, 0, seq);
+    t.beginEvent(when, seq);
     t.record(nullptr, cell, write, "src/x/y.cc", line);
     t.endEvent();
 }
@@ -47,7 +47,7 @@ access(AccessTracker &t, Tick when, std::uint64_t seq,
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Order conflicts: same (tick, priority), different events, same cell.
+// Order conflicts: same tick, different events, same cell.
 // ---------------------------------------------------------------------------
 
 TEST(RaceOrder, WriteWriteSameWindowIsFlagged)
@@ -90,24 +90,12 @@ TEST(RaceOrder, DifferentTicksAreClean)
     EXPECT_EQ(t.conflictCount(), 0u);
 }
 
-TEST(RaceOrder, DifferentPrioritiesAreClean)
-{
-    AccessTracker t;
-    t.beginEvent(100, 0, 1);
-    t.record(nullptr, "grp.cell", true, "src/x.cc", 1);
-    t.endEvent();
-    t.beginEvent(100, 1, 2);
-    t.record(nullptr, "grp.cell", true, "src/x.cc", 2);
-    t.endEvent();
-    EXPECT_EQ(t.conflictCount(), 0u);
-}
-
 TEST(RaceOrder, SameEventTouchingTwiceIsClean)
 {
     // One event may read and write its own state freely; only
-    // *cross-event* ordering within a batch is a hazard.
+    // *cross-event* ordering within a tick is a hazard.
     AccessTracker t;
-    t.beginEvent(100, 0, 1);
+    t.beginEvent(100, 1);
     t.record(nullptr, "grp.cell", false, "src/x.cc", 1);
     t.record(nullptr, "grp.cell", true, "src/x.cc", 2);
     t.endEvent();
@@ -268,12 +256,11 @@ TEST(RaceEndToEnd, BatchedSameTickWritesAreFlagged)
     race::TrackerScope scope(&t);
 
     // Two independent events land at the same tick and both mutate
-    // the same cell: exactly the hazard batched dispatch must not
-    // reorder.
-    eq.scheduleLambda(100, [&root] {
+    // the same cell: only the sequence tiebreak orders them.
+    eq.scheduleCallback(100, [&root] {
         EHPSIM_TRACK_WRITE(&root, "hot");
     });
-    eq.scheduleLambda(100, [&root] {
+    eq.scheduleCallback(100, [&root] {
         EHPSIM_TRACK_WRITE(&root, "hot");
     });
     eq.run();
@@ -290,10 +277,10 @@ TEST(RaceEndToEnd, DifferentTickWritesAreClean)
     AccessTracker t;
     race::TrackerScope scope(&t);
 
-    eq.scheduleLambda(100, [&root] {
+    eq.scheduleCallback(100, [&root] {
         EHPSIM_TRACK_WRITE(&root, "hot");
     });
-    eq.scheduleLambda(200, [&root] {
+    eq.scheduleCallback(200, [&root] {
         EHPSIM_TRACK_WRITE(&root, "hot");
     });
     eq.run();
@@ -307,7 +294,7 @@ TEST(RaceEndToEnd, MacrosIgnoreThreadsWithoutTracker)
     EventQueue eq;
     SimObject root(nullptr, "root", &eq);
     // No TrackerScope: the hooks must be inert, not crash.
-    eq.scheduleLambda(100, [&root] {
+    eq.scheduleCallback(100, [&root] {
         EHPSIM_TRACK_WRITE(&root, "hot");
     });
     eq.run();

@@ -17,6 +17,7 @@
 #include <new>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,95 +32,35 @@
 
 using namespace ehpsim;
 
-namespace
-{
-
-class RecordingEvent : public Event
-{
-  public:
-    RecordingEvent(std::vector<int> *log, int id,
-                   int priority = Event::defaultPriority)
-        : Event(priority), log_(log), id_(id)
-    {}
-
-    void process() override { log_->push_back(id_); }
-
-  private:
-    std::vector<int> *log_;
-    int id_;
-};
-
-/** Appends "L@moved " to a trace string when fired. */
-class MovedEvent : public Event
-{
-  public:
-    explicit MovedEvent(std::string *out) : out_(out) {}
-
-    void process() override { *out_ += "L@moved "; }
-
-  private:
-    std::string *out_;
-};
-
-/** Appends "id@tick " to a trace string when fired. */
-class TraceEvent : public Event
-{
-  public:
-    TraceEvent(std::string *out, int id,
-               int priority = Event::defaultPriority)
-        : Event(priority), out_(out), id_(id)
-    {}
-
-    void process() override
-    {
-        *out_ += std::to_string(id_) + "@" +
-                 std::to_string(when()) + " ";
-    }
-
-  private:
-    std::string *out_;
-    int id_;
-};
-
-} // anonymous namespace
-
 TEST(EventQueue, RunsEventsInTickOrder)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent a(&log, 1), b(&log, 2), c(&log, 3);
-    eq.schedule(&b, 200);
-    eq.schedule(&a, 100);
-    eq.schedule(&c, 300);
+    eq.scheduleCallback(200, [&log] { log.push_back(2); });
+    eq.scheduleCallback(100, [&log] { log.push_back(1); });
+    eq.scheduleCallback(300, [&log] { log.push_back(3); });
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.curTick(), 300u);
     EXPECT_EQ(eq.numProcessed(), 3u);
 }
 
-TEST(EventQueue, SameTickOrderedByPriorityThenFifo)
+TEST(EventQueue, SameTickFiresInSchedulingOrder)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent lo(&log, 1, Event::minimumPriority);
-    RecordingEvent hi(&log, 2, Event::maximumPriority);
-    RecordingEvent mid1(&log, 3);
-    RecordingEvent mid2(&log, 4);
-    eq.schedule(&lo, 50);
-    eq.schedule(&mid1, 50);
-    eq.schedule(&mid2, 50);
-    eq.schedule(&hi, 50);
+    for (int id = 1; id <= 4; ++id)
+        eq.scheduleCallback(50, [&log, id] { log.push_back(id); });
     eq.run();
-    EXPECT_EQ(log, (std::vector<int>{2, 3, 4, 1}));
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(EventQueue, RunHonorsLimit)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent a(&log, 1), b(&log, 2);
-    eq.schedule(&a, 100);
-    eq.schedule(&b, 500);
+    eq.scheduleCallback(100, [&log] { log.push_back(1); });
+    eq.scheduleCallback(500, [&log] { log.push_back(2); });
     const Tick stopped = eq.run(250);
     EXPECT_EQ(stopped, 250u);
     EXPECT_EQ(log, std::vector<int>{1});
@@ -128,74 +69,12 @@ TEST(EventQueue, RunHonorsLimit)
     EXPECT_EQ(log, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueue, DescheduleRemovesEvent)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    RecordingEvent a(&log, 1), b(&log, 2);
-    eq.schedule(&a, 100);
-    eq.schedule(&b, 200);
-    eq.deschedule(&a);
-    EXPECT_FALSE(a.scheduled());
-    eq.run();
-    EXPECT_EQ(log, std::vector<int>{2});
-}
-
-TEST(EventQueue, RescheduleMovesEvent)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    RecordingEvent a(&log, 1), b(&log, 2);
-    eq.schedule(&a, 100);
-    eq.schedule(&b, 200);
-    eq.reschedule(&a, 300);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{2, 1}));
-}
-
-TEST(EventQueue, DescheduleThenDeleteIsSafe)
-{
-    // Regression: skipDead() used to read ev->scheduled_ through the
-    // stale queue entry — a use-after-free when the owner deletes an
-    // event right after descheduling it. The queue must track dead
-    // entries by sequence number and never touch the event again.
-    EventQueue eq;
-    std::vector<int> log;
-    auto *doomed = new RecordingEvent(&log, 1);
-    RecordingEvent survivor(&log, 2);
-    eq.schedule(doomed, 100);
-    eq.schedule(&survivor, 200);
-    eq.deschedule(doomed);
-    delete doomed;      // owner frees it while the stale entry queues
-    eq.run();           // must drain without touching freed memory
-    EXPECT_EQ(log, std::vector<int>{2});
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, DescheduleDeleteReuseSameTick)
-{
-    // Same shape, but the freed slot is immediately reused by a new
-    // event at the same tick — maximally confusing for any code that
-    // still dereferenced the stale pointer.
-    EventQueue eq;
-    std::vector<int> log;
-    auto *doomed = new RecordingEvent(&log, 1);
-    eq.schedule(doomed, 50);
-    eq.deschedule(doomed);
-    delete doomed;
-    auto *fresh = new RecordingEvent(&log, 3);
-    eq.schedule(fresh, 50);
-    eq.run();
-    EXPECT_EQ(log, std::vector<int>{3});
-    delete fresh;
-}
-
 TEST(EventQueue, LambdaEventsSelfDelete)
 {
     EventQueue eq;
     int count = 0;
-    eq.scheduleLambda(10, [&] { ++count; });
-    eq.scheduleLambda(20, [&] { ++count; });
+    eq.scheduleCallback(10, [&] { ++count; });
+    eq.scheduleCallback(20, [&] { ++count; });
     eq.run();
     EXPECT_EQ(count, 2);
     EXPECT_TRUE(eq.empty());
@@ -207,9 +86,9 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
     int depth = 0;
     std::function<void()> chain = [&] {
         if (++depth < 5)
-            eq.scheduleLambda(eq.curTick() + 10, chain);
+            eq.scheduleCallback(eq.curTick() + 10, chain);
     };
-    eq.scheduleLambda(0, chain);
+    eq.scheduleCallback(0, chain);
     eq.run();
     EXPECT_EQ(depth, 5);
     EXPECT_EQ(eq.curTick(), 40u);
@@ -218,78 +97,61 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
 TEST(EventQueue, SchedulingInPastPanics)
 {
     EventQueue eq;
-    eq.scheduleLambda(100, [] {});
+    eq.scheduleCallback(100, [] {});
     eq.run();
-    std::vector<int> log;
-    RecordingEvent a(&log, 1);
-    EXPECT_DEATH(eq.schedule(&a, 50), "past");
+    EXPECT_DEATH(eq.scheduleCallback(50, [] {}), "past");
 }
 
-TEST(EventQueue, GoldenTraceMatchesPreRewriteKernel)
+TEST(EventQueue, GoldenTraceMatchesIndexedHeapKernel)
 {
-    // A mixed scheduling script (overlapping ticks, all priority
-    // bands, reschedules, deschedules, same-tick cross-scheduling, a
-    // partial run with late arrivals) whose firing order was captured
-    // verbatim from the PR 4 tombstone-based kernel. The indexed-heap
-    // kernel must reproduce it exactly: the (tick, priority, seq)
-    // total order — including that reschedule() consumes a fresh
-    // sequence number per call — is the byte-determinism contract
-    // every sweep JSON depends on.
+    // A callback-only scheduling script (overlapping ticks, callbacks
+    // that schedule at their own tick from inside the dispatch, a
+    // partial run, then late arrivals, one of them at the stop tick)
+    // whose firing order was captured from the indexed-heap kernel
+    // that kept caller-owned events and priorities. The (tick, seq)
+    // total order is the byte-determinism contract every sweep JSON
+    // depends on.
     EventQueue eq;
     std::string trace;
-    const int prios[] = {Event::maximumPriority, 30,
-                         Event::defaultPriority, 70,
-                         Event::minimumPriority};
-    std::vector<TraceEvent> evs;
-    evs.reserve(40);
+    const auto mark = [&trace, &eq](int id) {
+        trace += std::to_string(id) + "@" + std::to_string(eq.curTick()) +
+                 " ";
+    };
     for (int i = 0; i < 40; ++i)
-        evs.emplace_back(&trace, i, prios[i % 5]);
-
-    // Phase 1: schedule everyone on overlapping ticks.
-    for (int i = 0; i < 40; ++i)
-        eq.schedule(&evs[i], (i * 37) % 50);
-    // Reschedule a third (consumes fresh seqs).
-    for (int i = 0; i < 40; i += 3)
-        eq.reschedule(&evs[i], (i * 17) % 60);
-    // Deschedule a fifth.
-    for (int i = 1; i < 40; i += 5)
-        eq.deschedule(&evs[i]);
-
-    // Same-tick cross-scheduling: a default-priority callback at
-    // tick 10 schedules a *higher*-priority event at its own tick,
-    // another deschedules a pending victim, a third reschedules one.
-    TraceEvent inject(&trace, 100, Event::maximumPriority);
-    eq.scheduleLambda(10, [&] { eq.schedule(&inject, 10); });
-    eq.scheduleLambda(10, [&] {
-        if (evs[22].scheduled())
-            eq.deschedule(&evs[22]);
+        eq.scheduleCallback((i * 37) % 50, [&mark, i] { mark(i); });
+    eq.scheduleCallback(10, [&] {
+        mark(100);
+        eq.scheduleCallback(eq.curTick(), [&] {
+            mark(101);
+            eq.scheduleCallback(eq.curTick(), [&] { mark(102); });
+        });
     });
-    eq.scheduleLambda(10, [&] {
-        if (evs[25].scheduled())
-            eq.reschedule(&evs[25], 55);
+    eq.scheduleCallback(10, [&] {
+        mark(103);
+        eq.scheduleCallback(eq.curTick() + 13, [&] { mark(104); });
     });
 
-    // A rescheduled event fires once, at the final time.
-    MovedEvent moved(&trace);
-    eq.schedule(&moved, 20);
-    eq.reschedule(&moved, 45);
-
-    // Partial run, then more work lands mid-stream.
-    eq.run(30);
-    TraceEvent late(&trace, 200, 30);
-    eq.schedule(&late, 31);
-    for (int i = 1; i < 40; i += 5)
-        eq.schedule(&evs[i], 58);   // revive the descheduled ones
+    const Tick stopped = eq.run(30);
+    trace += "| stop=" + std::to_string(stopped) +
+             " pending=" + std::to_string(eq.size()) + " | ";
+    for (int i = 0; i < 10; ++i) {
+        eq.scheduleCallback(30 + (i * 7) % 25,
+                            [&mark, i] { mark(200 + i); });
+    }
     eq.run();
 
     trace += "| processed=" + std::to_string(eq.numProcessed()) +
-             " final=" + std::to_string(eq.curTick());
+             " final=" + std::to_string(eq.curTick()) +
+             " peak=" + std::to_string(eq.peakLive());
     EXPECT_EQ(trace,
-              "0@0 23@1 19@3 39@3 38@6 18@6 34@8 7@9 100@10 15@15 "
-              "14@18 37@19 10@20 33@21 29@23 2@24 12@24 17@29 30@30 "
-              "200@31 13@31 9@33 32@34 5@35 28@36 27@39 20@40 35@45 "
-              "L@moved 8@46 4@48 24@48 3@51 25@55 1@58 6@58 11@58 "
-              "16@58 21@58 26@58 31@58 36@58 | processed=45 final=58");
+              "0@0 23@1 19@3 15@5 38@6 11@7 34@8 7@9 30@10 100@10 "
+              "103@10 101@10 102@10 3@11 26@12 22@14 18@16 14@18 37@19 "
+              "10@20 33@21 6@22 29@23 104@23 2@24 25@25 21@27 17@29 "
+              "| stop=30 pending=17 | 200@30 13@31 36@32 9@33 204@33 "
+              "32@34 5@35 28@36 208@36 1@37 201@37 24@38 20@40 205@40 "
+              "16@42 39@43 209@43 12@44 202@44 35@45 8@46 31@47 206@47 "
+              "4@48 27@49 203@51 207@54 "
+              "| processed=55 final=54 peak=42");
 }
 
 TEST(EventQueue, PooledCallableDestroyedAfterFiring)
@@ -308,13 +170,13 @@ TEST(EventQueue, DestructorReclaimsPendingOneShots)
 {
     // One-shots that never fire are reclaimed — callable destructors
     // run — when the queue dies, whether the callable sits in the
-    // slot itself or in scheduleLambda()'s std::function (ASan would
-    // flag the leak otherwise).
+    // slot itself or in a std::function (ASan would flag the leak
+    // otherwise).
     auto token = std::make_shared<int>(7);
     {
         EventQueue eq;
         eq.scheduleCallback(100, [token] {});
-        eq.scheduleLambda(200, [token] {});
+        eq.scheduleCallback(200, std::function<void()>([token] {}));
         EXPECT_EQ(token.use_count(), 3);
     }
     EXPECT_EQ(token.use_count(), 1);
@@ -383,68 +245,29 @@ TEST(EventQueue, SaveInsideDispatchPanics)
     EXPECT_EQ(eq.size(), 1u);
 }
 
-TEST(EventQueue, BatchMemberSchedulingHigherPrioritySameTick)
+TEST(EventQueue, SameTickEventScheduledInDispatchFiresLast)
 {
-    // An event that a member of a same-(tick, priority) run schedules
-    // at a stricter priority fires before the rest of the run. (The
-    // batched dispatcher this kernel once had spliced the unfired
-    // tail back to get this right.)
+    // An event that a callback schedules at its own tick takes the
+    // next sequence number, so it fires after every event already
+    // pending at that tick.
     EventQueue eq;
     std::vector<int> log;
     eq.scheduleCallback(10, [&] {
         log.push_back(1);
-        eq.scheduleCallback(10, [&] { log.push_back(99); },
-                            Event::maximumPriority);
+        eq.scheduleCallback(10, [&] { log.push_back(99); });
     });
     eq.scheduleCallback(10, [&] { log.push_back(2); });
     eq.scheduleCallback(10, [&] { log.push_back(3); });
     eq.run();
-    EXPECT_EQ(log, (std::vector<int>{1, 99, 2, 3}));
-}
-
-TEST(EventQueue, MidBatchDescheduleRemovesPoppedMember)
-{
-    // Descheduling a same-(tick, priority) event from an earlier
-    // one's callback must take effect (and the owner may free the
-    // event immediately afterwards). The batched dispatcher this
-    // kernel once had had already popped the victim by then.
-    EventQueue eq;
-    std::vector<int> log;
-    RecordingEvent victim(&log, 3);
-    eq.scheduleCallback(10, [&] {
-        log.push_back(1);
-        eq.deschedule(&victim);
-    });
-    eq.schedule(&victim, 10);
-    eq.scheduleCallback(10, [&] { log.push_back(2); });
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{1, 2}));
-    EXPECT_FALSE(victim.scheduled());
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, MidBatchRescheduleMovesPoppedMember)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    RecordingEvent victim(&log, 3);
-    eq.scheduleCallback(10, [&] {
-        log.push_back(1);
-        eq.reschedule(&victim, 20);
-    });
-    eq.schedule(&victim, 10);
-    eq.scheduleCallback(10, [&] { log.push_back(2); });
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.curTick(), 20u);
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 99}));
 }
 
 TEST(EventQueue, ThrowingBatchMemberRestoresTail)
 {
-    // A process() that throws (fatal() on an error path) amid a
-    // same-(tick, priority) run must reclaim the throwing one-shot
-    // and leave the rest of the run pending: nothing leaks, original
-    // order resumes.
+    // A callback that throws (fatal() on an error path) amid a
+    // same-tick run must reclaim the throwing one-shot and leave the
+    // rest of the run pending: nothing leaks, original order
+    // resumes.
     EventQueue eq;
     std::vector<int> log;
     eq.scheduleCallback(10, [&] { log.push_back(1); });
@@ -456,31 +279,6 @@ TEST(EventQueue, ThrowingBatchMemberRestoresTail)
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 3, 4}));
     EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, DescheduleHeavyChurnKeepsHeapBounded)
-{
-    // The tombstone queue left a dead entry per deschedule and leaned
-    // on periodic compaction; the indexed heap removes entries in
-    // place, so heavy schedule/deschedule churn cannot grow the heap
-    // past the live high-water mark.
-    EventQueue eq;
-    std::vector<int> log;
-    std::vector<RecordingEvent> evs;
-    evs.reserve(64);
-    for (int i = 0; i < 64; ++i)
-        evs.emplace_back(&log, i);
-    for (int round = 0; round < 1000; ++round) {
-        const Tick base = eq.curTick() + 1;
-        for (int i = 0; i < 64; ++i)
-            eq.schedule(&evs[i], base + i % 7);
-        for (int i = 0; i < 64; ++i)
-            eq.deschedule(&evs[i]);
-    }
-    EXPECT_TRUE(eq.empty());
-    EXPECT_TRUE(log.empty());
-    EXPECT_EQ(eq.peakLive(), 64u);
-    EXPECT_LE(eq.capacity(), 128u);
 }
 
 TEST(EventQueue, ReservePresizesHeap)
@@ -495,6 +293,195 @@ TEST(EventQueue, ReservePresizesHeap)
     EXPECT_EQ(eq.capacity(), cap);  // burst fits: no regrowth
     eq.run();
     EXPECT_EQ(fired, 1000);
+}
+
+namespace
+{
+
+/**
+ * One seeded scheduling script and the reference it is checked
+ * against. Every scheduled callback gets the next id, which is also
+ * the sequence number the queue gives it, and the reference keeps
+ * (tick, id) per event: the queue must fire them in that order.
+ */
+class RandomScript
+{
+  public:
+    explicit RandomScript(std::uint64_t seed) : rng_(seed) { fresh(); }
+
+    /** Schedule one event @p delay ticks from now: keyed or not,
+     *  plain, spawning or throwing, as the seed decides. */
+    void
+    schedule(Tick delay, bool throws = false)
+    {
+        const std::uint64_t id = ref_.size();
+        const bool keyed = rng_.nextBool(0.4);
+        // Keyed events lean late, so a fast-forward to a quiesce
+        // point often leaves some pending for the checkpoint.
+        const Tick when = eq_->curTick() + delay +
+                          (keyed ? rng_.nextBounded(96) : 0);
+        Kind kind = Kind::plain;
+        if (throws || rng_.nextBool(0.02))
+            kind = Kind::throws;
+        else if (ref_.size() < 600 && rng_.nextBool(0.2))
+            kind = Kind::spawns;
+        ref_.push_back({when, id});
+        kinds_.push_back(kind);
+        if (keyed)
+            scheduleKeyed(*eq_, when, id);
+        else
+            eq_->scheduleCallback(when, [this, id] { fire(id); });
+        peak_ = std::max(peak_, ref_.size() - fired_.size());
+    }
+
+    /** run(@p limit) to the end, resuming after each throw. */
+    void
+    run(Tick limit)
+    {
+        for (;;) {
+            try {
+                eq_->run(limit);
+                return;
+            } catch (const std::runtime_error &) {
+                ++throws_;
+            }
+        }
+    }
+
+    /**
+     * Step to a point where every pending event is keyed, save the
+     * queue, and restore it into a fresh one that the rest of the
+     * script runs on. @return the events the checkpoint carried.
+     */
+    std::size_t
+    fork()
+    {
+        while (!eq_->allPendingKeyed() && !eq_->empty()) {
+            try {
+                eq_->step();
+            } catch (const std::runtime_error &) {
+                ++throws_;
+            }
+        }
+        SnapshotWriter w;
+        eq_->save(w);
+        const std::size_t carried = eq_->size();
+        fresh();
+        SnapshotReader r(w.blob());
+        eq_->restore(r);
+        EXPECT_TRUE(r.atEnd());
+        return carried;
+    }
+
+    /** The queue's counters must match the reference's. */
+    void
+    expectCounters() const
+    {
+        EXPECT_EQ(eq_->size(), ref_.size() - fired_.size());
+        EXPECT_EQ(eq_->numProcessed(), fired_.size());
+        EXPECT_EQ(eq_->peakLive(), peak_);
+    }
+
+    /** Everything scheduled, sorted by (tick, scheduling order). */
+    std::vector<std::uint64_t>
+    expectedOrder() const
+    {
+        auto sorted = ref_;
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<std::uint64_t> ids;
+        for (const auto &[when, id] : sorted)
+            ids.push_back(id);
+        return ids;
+    }
+
+    EventQueue &eq() { return *eq_; }
+    Rng &rng() { return rng_; }
+    const std::vector<std::uint64_t> &fired() const { return fired_; }
+    unsigned throws() const { return throws_; }
+
+  private:
+    enum class Kind { plain, spawns, throws };
+
+    void
+    scheduleKeyed(EventQueue &eq, Tick when, std::uint64_t id)
+    {
+        eq.scheduleKeyed(when, "test.script", id, 0,
+                         [this, id] { fire(id); });
+    }
+
+    void
+    fresh()
+    {
+        eq_ = std::make_unique<EventQueue>();
+        eq_->registerKeyedFactory(
+            "test.script", [this](Tick when, std::uint64_t id,
+                                  std::uint64_t) {
+                scheduleKeyed(*eq_, when, id);
+            });
+    }
+
+    void
+    fire(std::uint64_t id)
+    {
+        fired_.push_back(id);
+        if (kinds_[id] == Kind::throws)
+            throw std::runtime_error("scripted failure");
+        if (kinds_[id] == Kind::spawns) {
+            // Same-tick children, and now and then a later one.
+            const auto n = 1 + rng_.nextBounded(2);
+            for (std::uint64_t i = 0; i < n; ++i)
+                schedule(0);
+            if (rng_.nextBool(0.5))
+                schedule(1 + rng_.nextBounded(32));
+        }
+    }
+
+    Rng rng_;
+    std::unique_ptr<EventQueue> eq_;
+    /** (tick, id) of every event scheduled, in id order. */
+    std::vector<std::pair<Tick, std::uint64_t>> ref_;
+    std::vector<Kind> kinds_;
+    std::vector<std::uint64_t> fired_;
+    std::size_t peak_ = 0;
+    unsigned throws_ = 0;
+};
+
+} // anonymous namespace
+
+TEST(EventQueue, RandomScriptsFireInTickSeqOrder)
+{
+    // Seeded scripts mixing ties, same-tick scheduling from inside a
+    // dispatch, partial runs with late arrivals, a throwing callback
+    // and a checkpoint restored into a fresh queue mid-script.
+    unsigned forks_carrying_events = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        RandomScript s(seed);
+        Rng &rng = s.rng();
+        const auto initial = 20 + rng.nextBounded(40);
+        const auto thrower = rng.nextBounded(initial);
+        for (std::uint64_t i = 0; i < initial; ++i)
+            s.schedule(rng.nextBounded(64), i == thrower);
+        const auto rounds = 4 + rng.nextBounded(4);
+        const auto fork_round = rng.nextBounded(rounds);
+        for (std::uint64_t round = 0; round < rounds; ++round) {
+            s.run(s.eq().curTick() + rng.nextBounded(48));
+            s.expectCounters();
+            if (round == fork_round && s.fork() > 0)
+                ++forks_carrying_events;
+            s.expectCounters();
+            const auto late = rng.nextBounded(10);
+            for (std::uint64_t i = 0; i < late; ++i)
+                s.schedule(rng.nextBounded(64));
+        }
+        s.run(maxTick);
+        EXPECT_TRUE(s.eq().empty());
+        s.expectCounters();
+        EXPECT_GE(s.throws(), 1u);
+        EXPECT_EQ(s.fired(), s.expectedOrder());
+    }
+    // Most checkpoints hold pending keyed events to replay.
+    EXPECT_GT(forks_carrying_events, 100u);
 }
 
 TEST(Rng, DeterministicFromSeed)

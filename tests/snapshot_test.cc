@@ -308,9 +308,10 @@ TEST(SnapshotErrors, OlderFormatVersionIsFatal)
     serve::ScenarioParams p;
     const std::string blob = smallServeBlob(p);
     // Version 2 blobs also stored the fabric's route epoch, version 3
-    // ones an HBM remap table and per-channel children; this build
-    // must stop at the header rather than misread them.
-    for (const char ver : {2, 3}) {
+    // ones an HBM remap table and per-channel children, version 4
+    // ones a priority per pending event; this build must stop at the
+    // header rather than misread them.
+    for (const char ver : {2, 3, 4}) {
         std::string old = blob;
         old[8] = ver;
         const std::string want =
@@ -641,8 +642,8 @@ TEST(SnapshotErrors, FlippedCacheByteIsFatalOrHarmless)
 
 TEST(SnapshotQueue, PooledKeyedEventsRoundTrip)
 {
-    // Schedule a few hundred keyed one-shots (mixed ticks and
-    // priorities), save while ALL of them are pending, and replay
+    // Schedule a few hundred keyed one-shots at mixed ticks, save
+    // while ALL of them are pending, and replay
     // into a fresh queue. The donor queue is destroyed with its
     // events still pending — its pool must reclaim every slot
     // (this is the leak half of the ASan pass).
@@ -653,8 +654,7 @@ TEST(SnapshotQueue, PooledKeyedEventsRoundTrip)
         return [&q, &acc](Tick when, std::uint64_t a0,
                           std::uint64_t a1) {
             q.scheduleKeyed(when, "t.add", a0, a1,
-                            [&acc, a0] { acc += a0; },
-                            static_cast<int>(a1));
+                            [&acc, a0] { acc += a0; });
         };
     };
 
@@ -670,8 +670,7 @@ TEST(SnapshotQueue, PooledKeyedEventsRoundTrip)
                 static_cast<std::uint64_t>(i), i % 3,
                 [&donor_sum, i] {
                     donor_sum += static_cast<std::uint64_t>(i);
-                },
-                i % 3);
+                });
         }
         ASSERT_TRUE(donor.allPendingKeyed());
         donor.save(w);

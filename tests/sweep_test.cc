@@ -121,8 +121,8 @@ simJob(unsigned idx, json::JsonWriter &jw)
     stats::StatGroup root(nullptr, "job");
     stats::Scalar work(&root, "work", "accumulated work");
     for (unsigned i = 0; i < 50 + idx; ++i) {
-        eq.scheduleLambda((i + 1) * 10,
-                          [&work, i] { work += double(i % 7); });
+        eq.scheduleCallback((i + 1) * 10,
+                            [&work, i] { work += double(i % 7); });
     }
     eq.run();
     jw.beginObject();

@@ -53,6 +53,29 @@ TEST(Trace, UnifiedRunsShowNoCopies)
     EXPECT_EQ(oss.str().find("(copy)"), std::string::npos);
 }
 
+TEST(Trace, EscapesControlCharactersAndKeepsTimestampDigits)
+{
+    // Phase names are free text: control characters must come out as
+    // JSON escapes, and a timestamp past a second must keep its
+    // sub-microsecond digits.
+    RunReport rep;
+    PhaseTiming first;
+    first.name = "warm";
+    first.gpu_s = first.total_s = 1.2345678;
+    PhaseTiming odd;
+    odd.name = "line\nbreak\x01" "end";
+    odd.gpu_s = odd.total_s = 1e-3;
+    rep.phases = {first, odd};
+    std::ostringstream oss;
+    writeChromeTrace(rep, oss);
+    const std::string json = oss.str();
+    EXPECT_NE(json.find("\"line\\nbreak\\u0001end\""), std::string::npos)
+        << json;
+    EXPECT_EQ(json.find("\nbreak"), std::string::npos);
+    EXPECT_EQ(json.find('\x01'), std::string::npos);
+    EXPECT_NE(json.find("\"ts\": 1234567.8"), std::string::npos) << json;
+}
+
 TEST(Trace, BadPathFatal)
 {
     const RooflineEngine eng(mi300aModel());
