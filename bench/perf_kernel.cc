@@ -97,20 +97,56 @@ namespace
 std::uint64_t g_heap_allocs = 0;
 std::uint64_t g_heap_bytes = 0;
 
+/** Counted malloc-family storage; @p align 0 means the default. */
+void *
+countedAlloc(std::size_t n, std::size_t align) noexcept
+{
+    ++g_heap_allocs;
+    g_heap_bytes += n;
+    if (align == 0)
+        return std::malloc(n ? n : 1);
+    // aligned_alloc wants a nonzero multiple of the alignment.
+    return std::aligned_alloc(align, n ? (n + align - 1) / align * align
+                                       : align);
+}
+
 } // anonymous namespace
 
 // Every global operator new in this (single-threaded) binary counts
 // itself, so system_build can report the allocations a build makes.
-// Kept out of line so GCC does not pair an inlined free() with a new
+// The plain, nothrow and aligned forms are all replaced, and every
+// delete form frees what they return: a partial set leaves the
+// sanitizer's own nothrow new paired with this file's delete
+// (std::stable_sort's buffer), an ASan alloc-dealloc mismatch. Kept
+// out of line so GCC does not pair an inlined free() with a new
 // expression (-Wmismatched-new-delete).
 [[gnu::noinline]] void *
 operator new(std::size_t n)
 {
-    ++g_heap_allocs;
-    g_heap_bytes += n;
-    if (void *p = std::malloc(n ? n : 1))
+    if (void *p = countedAlloc(n, 0))
         return p;
     throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n, 0);
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n, std::align_val_t a)
+{
+    if (void *p = countedAlloc(n, static_cast<std::size_t>(a)))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n, std::align_val_t a,
+             const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
 }
 
 [[gnu::noinline]] void
@@ -121,6 +157,31 @@ operator delete(void *p) noexcept
 
 [[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::align_val_t,
+                const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
@@ -409,7 +470,7 @@ BenchResult
 benchCommDirectTp8(const Sizes &sz, unsigned repeat)
 {
     constexpr std::uint64_t bytes = std::uint64_t{80} * 8192 * 2;
-    return octoCommBench(
+    BenchResult r = octoCommBench(
         "comm_direct_tp8", repeat, [&sz](soc::CommWorld &w) {
             std::uint64_t lb = 0;
             for (unsigned i = 0; i < sz.tp8_ops; ++i) {
@@ -419,6 +480,10 @@ benchCommDirectTp8(const Sizes &sz, unsigned repeat)
             }
             return lb;
         });
+    // With ops, events_processed shows the dispatch shape: one
+    // start event plus one per join release, 1 + 8 per op.
+    r.det.emplace_back("ops", sz.tp8_ops);
+    return r;
 }
 
 /**

@@ -474,29 +474,38 @@ CommGroup::start(Tick when, OpHandle op)
         completeOp(*op);
         return op;
     }
-    // Pre-size the scheduling heap for the op's worst-case fan-out
-    // (every task scheduled at once, e.g. a dependency-free direct
-    // schedule) so the burst below never grows it incrementally.
-    eventq()->reserve(eventq()->size() + op->tasks_.size());
     // Retire finished handles here as well as in waitAll(), so
     // event-driven callers that never block (the serving engine)
     // keep outstanding_ bounded by the ops actually in flight.
     std::erase_if(outstanding_,
                   [](const OpHandle &o) { return o->done(); });
     outstanding_.push_back(op);
-    for (std::uint32_t i = 0; i < op->tasks_.size(); ++i) {
-        if (!op->tasks_[i].gated)
-            scheduleTask(op.get(), i, op->start_);
-    }
+    scheduleRelease(op.get(), 0,
+                    static_cast<std::uint32_t>(op->tasks_.size()),
+                    false, op->start_);
     return op;
+}
+
+void
+CommGroup::scheduleRelease(CollectiveOp *op, std::uint32_t first,
+                           std::uint32_t end, bool gated, Tick when)
+{
+    // Same order as one event per task pushed back to back at @p
+    // when. The bounds live in the capture: an op completes only when
+    // its last task runs, here the loop's last, and may be freed then.
+    eventq()->scheduleCallback(when, [this, op, first, end, gated] {
+        for (std::uint32_t i = first; i < end; ++i) {
+            if (op->tasks_[i].gated == gated)
+                runTask(op, i);
+        }
+    });
 }
 
 void
 CommGroup::scheduleTask(CollectiveOp *op, std::uint32_t idx, Tick when)
 {
     // Pool fast path: the capture (this, op, idx) fits a recycled
-    // slot, so per-chunk scheduling allocates nothing in steady
-    // state.
+    // slot, so a retry allocates nothing in steady state.
     eventq()->scheduleCallback(when,
                                [this, op, idx] { runTask(op, idx); });
 }
@@ -572,10 +581,8 @@ CommGroup::runTask(CollectiveOp *op, std::uint32_t idx)
     if (t.join != CollectiveOp::noJoin) {
         CollectiveOp::Join &j = op->joins_[t.join];
         j.ready = std::max(j.ready, res.arrival);
-        if (--j.deps == 0) {
-            for (std::uint32_t k = j.first; k < j.first + j.cnt; ++k)
-                scheduleTask(op, k, j.ready);
-        }
+        if (--j.deps == 0)
+            scheduleRelease(op, j.first, j.first + j.cnt, true, j.ready);
     }
     // Nothing touches op after this: completeOp()'s callback may
     // drop the last handle, and the next start() frees the op.

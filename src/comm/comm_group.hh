@@ -163,7 +163,8 @@ class CollectiveOp
     /**
      * A chunk barrier: when the last of its @c deps predecessors
      * lands, it releases tasks [first, first + cnt) at @c ready, the
-     * latest arrival among them. A task feeds at most one join.
+     * latest arrival among them, as one event that runs them in
+     * index order. A task feeds at most one join.
      */
     struct Join
     {
@@ -352,7 +353,7 @@ class CommGroup : public SimObject
     /**
      * Exact number of chunk transfers a collective over @p bytes
      * schedules (identical for ring and direct), used to pre-size
-     * the task DAG and the event queue's scheduling heap.
+     * the task DAG.
      */
     std::uint64_t taskCount(Collective kind, std::uint64_t bytes) const;
 
@@ -392,7 +393,14 @@ class CommGroup : public SimObject
      * alive until its last task has run, and that task touches
      * nothing after completeOp(), whose callback may drop the last
      * handle and start the next op.
+     *
+     * scheduleRelease() runs, as one event at @p when, every task in
+     * [@p first, @p end) whose gated flag equals @p gated, in index
+     * order: start() releases the ungated tasks, a join its gated
+     * range. scheduleTask() is one task's retry.
      */
+    void scheduleRelease(CollectiveOp *op, std::uint32_t first,
+                         std::uint32_t end, bool gated, Tick when);
     void scheduleTask(CollectiveOp *op, std::uint32_t idx, Tick when);
     void runTask(CollectiveOp *op, std::uint32_t idx);
     void completeOp(CollectiveOp &op);

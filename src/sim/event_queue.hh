@@ -220,13 +220,6 @@ class EventQueue
     /** Number of pending events. */
     std::size_t size() const { return heap_.size(); }
 
-    /**
-     * Pre-size the scheduling heap for a known fan-out (e.g. ring
-     * size x chunk count) so bursts of schedules never grow it
-     * incrementally.
-     */
-    void reserve(std::size_t n) { heap_.reserve(n); }
-
     /** Scheduling-heap slots currently allocated. */
     std::size_t capacity() const { return heap_.capacity(); }
 

@@ -540,6 +540,83 @@ TEST(CommSchedule, CallbackDropsLastHandleAndChainsNextOp)
     EXPECT_DOUBLE_EQ(w.group.ops_completed.value(), 200.0);
 }
 
+TEST(CommSchedule, ReleaseRunsAsOneEvent)
+{
+    // An octo direct all-reduce of one chunk per shard is 56
+    // reduce-scatter chunks released by start() and 8 joins that
+    // each release 7 all-gather chunks: one event per release.
+    CommWorld w(NodeKind::octo, fineGrained());
+    constexpr std::uint64_t bytes = 1 * MiB + MiB / 4;
+    w.run(Collective::allReduce, bytes, Algorithm::direct);
+    EXPECT_EQ(w.eq.numProcessed(), 1u + 8u);
+
+    // Events at the op's start tick fire in schedule order around
+    // the whole start() release.
+    std::vector<int> log;   // -1: before start(), -2: after
+    w.group.setChunkFaultHook([&log](const CommGroup::ChunkAttempt &a) {
+        log.push_back(static_cast<int>(a.task_index));
+        return false;
+    });
+    const Tick t0 = w.eq.curTick();
+    w.eq.scheduleCallback(t0, [&log] { log.push_back(-1); });
+    const OpHandle op =
+        w.group.allReduce(t0, bytes, Algorithm::direct);
+    w.eq.scheduleCallback(t0, [&log] { log.push_back(-2); });
+    const std::uint64_t before = w.eq.numProcessed();
+    w.group.waitAll();
+    EXPECT_TRUE(w.eq.empty());
+    EXPECT_EQ(w.eq.numProcessed() - before, 2u + 1u + 8u);
+    ASSERT_EQ(log.size(), 2u + 112u);
+    EXPECT_EQ(log.front(), -1);
+    EXPECT_EQ(log[1 + 56], -2);
+    for (std::size_t i = 1; i < log.size(); ++i) {
+        if (i != 1 + 56) {
+            EXPECT_GE(log[i], 0) << i;
+        }
+    }
+    // The start release ran every ungated task, in index order.
+    for (std::size_t i = 2; i <= 56; ++i)
+        EXPECT_LT(log[i - 1], log[i]) << i;
+    EXPECT_TRUE(op->done());
+}
+
+TEST(CommSchedule, JoinlessOpCompletesInsideItsStartEvent)
+{
+    // A direct all-gather has no joins: its whole schedule runs in
+    // the start() event, whose last chunk completes the op. The
+    // callback drops the last handle, so the op is freed while that
+    // event is still running (ASan catches a use after free).
+    CommWorld w(NodeKind::octo, fineGrained());
+    struct Chain
+    {
+        explicit Chain(CommGroup &group) : g(group) {}
+
+        CommGroup &g;
+        OpHandle cur;
+        unsigned left = 200;
+        Tick last = 0;
+
+        void
+        launch(Tick when)
+        {
+            cur = g.allGather(when, 3 * MiB + 5, Algorithm::direct);
+            cur->setOnComplete([this](Tick fin) {
+                EXPECT_GT(fin, last);
+                last = fin;
+                cur.reset();
+                if (--left > 0)
+                    launch(fin);
+            });
+        }
+    } chain(w.group);
+    chain.launch(0);
+    EXPECT_EQ(w.group.waitAll(), chain.last);
+    EXPECT_EQ(chain.left, 0u);
+    EXPECT_EQ(chain.cur, nullptr);
+    EXPECT_EQ(w.eq.numProcessed(), 200u);
+    EXPECT_DOUBLE_EQ(w.group.ops_completed.value(), 200.0);
+}
+
 // ---------------------------------------------------------------------
 // Determinism: collective sweeps under a worker pool
 // ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 // Fixture: the same allocating one-shots, suppressed (0 event-alloc
-// findings; the event-new finding is suppressed separately).
+// findings; the event-new finding is suppressed separately). The
+// stand-ins mirror event_alloc_bad.cc; real code schedules through
+// EventQueue::scheduleCallback().
 struct Queue
 {
     void schedule(void *ev, unsigned long when);

@@ -1,7 +1,9 @@
 // Fixture: allocating one-shot scheduling must be flagged
 // (3 findings: one new LambdaEvent — which also trips event-new —
 // and two capturing scheduleLambda calls; the capture-less call and
-// the array index are fine).
+// the array index are fine). Queue and LambdaEvent stand in for
+// allocating paths the EventQueue does not have; real code schedules
+// through the pooled EventQueue::scheduleCallback().
 struct Queue
 {
     void schedule(void *ev, unsigned long when);

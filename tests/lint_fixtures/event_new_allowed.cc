@@ -1,4 +1,5 @@
 // Fixture: the same raw event lifetimes, suppressed (0 findings).
+// Real code schedules through EventQueue::scheduleCallback().
 struct RetryEvent
 {
     void process();

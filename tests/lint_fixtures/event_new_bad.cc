@@ -1,5 +1,6 @@
 // Fixture: raw event lifetime management must be flagged
-// (3 findings: one new, two deletes).
+// (3 findings: one new, two deletes). Real code schedules through
+// EventQueue::scheduleCallback(), which owns the event's lifetime.
 struct RetryEvent
 {
     void process();

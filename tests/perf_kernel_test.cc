@@ -119,23 +119,26 @@ TEST(PerfKernel, FabricBenchCountersMatchGoldens)
         const char *value;
     } goldens[] = {
         // comm_allreduce_octo, quick: 1 iteration of 16 MiB ring +
-        // direct all-reduce over the octo node, 1 MiB chunks.
-        {"events_processed", "448"},
+        // direct all-reduce over the octo node, 1 MiB chunks. Events
+        // count releases, not chunks: one start event per op plus one
+        // per join (208 ring hops, 16 direct chunk joins).
+        {"events_processed", "226"},
         {"final_tick", "491550000"},
         {"link_bytes", "469762048"},
         // comm_direct_tp8, quick: 20 direct all-reduces of 1.25 MiB
         // over the octo node, one 1 MiB chunk per shard, each shard's
-        // all-gather released by one chunk join.
-        {"events_processed", "2240"},
+        // all-gather released by one chunk join: 1 + 8 events an op.
+        {"events_processed", "180"},
         {"final_tick", "100378000"},
         {"link_bytes", "367001600"},
-        // fault_storm, quick: seeded fault plan over the quad node.
+        // fault_storm, quick: seeded fault plan over the octo node.
         // (Re-pinned when the transient-fault draw moved from a
         // sequential Rng stream to the counter-based hash of
         // (seed, op, task, attempt) — a schedule-keyed model that is
         // independent of event order, and again when a derate stopped
-        // stretching the link's past windows.)
-        {"events_processed", "237"},
+        // stretching the link's past windows, and when a release of
+        // ready chunks became one event; retries keep their own.)
+        {"events_processed", "222"},
         {"final_tick", "1170378000"},
         {"chunk_retries", "11"},
         {"faults_injected", "13"},

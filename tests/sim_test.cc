@@ -19,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -279,20 +280,6 @@ TEST(EventQueue, ThrowingBatchMemberRestoresTail)
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 3, 4}));
     EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, ReservePresizesHeap)
-{
-    EventQueue eq;
-    eq.reserve(1000);
-    EXPECT_GE(eq.capacity(), 1000u);
-    const std::size_t cap = eq.capacity();
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i)
-        eq.scheduleCallback(1 + i, [&fired] { ++fired; });
-    EXPECT_EQ(eq.capacity(), cap);  // burst fits: no regrowth
-    eq.run();
-    EXPECT_EQ(fired, 1000);
 }
 
 namespace
@@ -732,21 +719,57 @@ TEST(Stats, PercentileDumpJsonCarriesSummary)
 }
 
 // Every global operator new in this binary goes through here, so a
-// test can count the allocations a block of code makes. Kept out of
-// line so GCC does not pair an inlined free() with a new expression
-// (-Wmismatched-new-delete).
+// test can count the allocations a block of code makes. The plain,
+// nothrow and aligned forms are all replaced, and every delete form
+// frees what they return: a partial set leaves the sanitizer's own
+// nothrow new paired with this file's delete (std::stable_sort's
+// buffer), which ASan reports as an alloc-dealloc mismatch. Kept out
+// of line so GCC does not pair an inlined free() with a new
+// expression (-Wmismatched-new-delete).
 namespace
 {
 std::atomic<std::uint64_t> g_new_calls{0};
+
+/** Counted malloc-family storage; @p align 0 means the default. */
+void *
+countedAlloc(std::size_t n, std::size_t align) noexcept
+{
+    g_new_calls.fetch_add(1, std::memory_order_relaxed);
+    if (align == 0)
+        return std::malloc(n ? n : 1);
+    // aligned_alloc wants a nonzero multiple of the alignment.
+    return std::aligned_alloc(align, n ? (n + align - 1) / align * align
+                                       : align);
+}
 } // anonymous namespace
 
 [[gnu::noinline]] void *
 operator new(std::size_t n)
 {
-    g_new_calls.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
+    if (void *p = countedAlloc(n, 0))
         return p;
     throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n, 0);
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n, std::align_val_t a)
+{
+    if (void *p = countedAlloc(n, static_cast<std::size_t>(a)))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n, std::align_val_t a,
+             const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
 }
 
 [[gnu::noinline]] void
@@ -759,6 +782,65 @@ operator delete(void *p) noexcept
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::align_val_t,
+                const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+TEST(GlobalAllocator, StableSortBufferAndAlignedFormsAreCounted)
+{
+    // std::stable_sort takes its merge buffer from the nothrow
+    // operator new and hands it back to operator delete.
+    std::vector<std::pair<unsigned, unsigned>> v;
+    for (unsigned i = 0; i < 4096; ++i)
+        v.emplace_back(i * 7919u % 97u, i);
+    const auto before = g_new_calls.load();
+    std::stable_sort(v.begin(), v.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    EXPECT_GT(g_new_calls.load(), before);
+    for (std::size_t i = 1; i < v.size(); ++i) {
+        ASSERT_LE(v[i - 1].first, v[i].first);
+        if (v[i - 1].first == v[i].first) {
+            ASSERT_LT(v[i - 1].second, v[i].second);
+        }
+    }
+
+    struct alignas(64) Line
+    {
+        unsigned char bytes[64];
+    };
+    const auto aligned_before = g_new_calls.load();
+    auto line = std::make_unique<Line>();
+    Line *nothrow_line = new (std::nothrow) Line;
+    ASSERT_NE(nothrow_line, nullptr);
+    EXPECT_EQ(g_new_calls.load() - aligned_before, 2u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(line.get()) % 64, 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(nothrow_line) % 64, 0u);
+    delete nothrow_line;
 }
 
 // statList() and groupList() are forward ranges of pointers.

@@ -252,7 +252,7 @@ collectUnorderedNames(const std::string &code,
 }
 
 /** Collect names declared as pointers to Event types ("Event *e",
- *  "LambdaEvent *ev", "auto *ev = new FooEvent"). */
+ *  "RetryEvent *ev", "auto *ev = new FooEvent"). */
 void
 collectEventPtrNames(const std::string &code,
                      std::set<std::string> &names)
@@ -583,10 +583,10 @@ checkEventNew(const FileLintState &st)
             type.compare(type.size() - 5, 5, "Event") == 0) {
             st.report(Rule::eventNew, at,
                       "raw 'new " + type +
-                          "' — events are created through EventQueue "
-                          "factory paths (scheduleLambda) so the "
+                          "' — events are created through "
+                          "EventQueue::scheduleCallback() so the "
                           "queue controls their lifetime; raw "
-                          "new/delete caused the PR 1 "
+                          "new/delete of events caused a "
                           "use-after-free");
         }
     }
@@ -608,8 +608,9 @@ checkEventNew(const FileLintState &st)
             st.report(Rule::eventNew, at,
                       "raw 'delete " + name +
                           "' of an event — only the EventQueue may "
-                          "end a scheduled event's lifetime "
-                          "(deschedule() first, or let it fire)");
+                          "end an event's lifetime: it reclaims a "
+                          "one-shot from EventQueue::scheduleCallback() "
+                          "after it fires");
         }
     }
 }
@@ -618,10 +619,10 @@ void
 checkEventAlloc(const FileLintState &st)
 {
     const std::string &code = st.code;
-    // new LambdaEvent: a std::function-backed heap allocation per
-    // one-shot. (event-new also fires on these outside the queue;
-    // this rule adds the "use the pool" guidance and catches the
-    // factory-internal pattern too.)
+    // new LambdaEvent: a std::function-backed event type heap
+    // allocated per one-shot. (event-new also fires on these outside
+    // the queue; this rule adds the "use the pool" guidance and
+    // catches the factory-internal pattern too.)
     std::size_t p = 0;
     while ((p = findWord(code, "new", p)) != std::string::npos) {
         std::size_t i = skipSpace(code, p + 3);
@@ -631,18 +632,18 @@ checkEventAlloc(const FileLintState &st)
         if (type == "LambdaEvent" ||
             type == "ehpsim::LambdaEvent") {
             st.report(Rule::eventAlloc, at,
-                      "'new LambdaEvent' allocates a std::function "
-                      "event per one-shot — hot paths use "
-                      "EventQueue::scheduleCallback(), which "
+                      "'new LambdaEvent' heap-allocates a "
+                      "std::function event per one-shot — schedule "
+                      "through EventQueue::scheduleCallback(), which "
                       "constructs the callable in recycled pooled "
                       "storage");
         }
     }
-    // scheduleLambda(..., [captures]...): the capturing lambda is
-    // converted to std::function, which allocates when the capture
-    // state outgrows the small-buffer optimization — and always
-    // costs a type-erased copy. Capture-less lambdas are cheap and
-    // not flagged.
+    // scheduleLambda(..., [captures]...): a helper of that name
+    // takes a std::function, so the capturing lambda is converted,
+    // which allocates when the capture state outgrows the
+    // small-buffer optimization — and always costs a type-erased
+    // copy. Capture-less lambdas are cheap and not flagged.
     p = 0;
     while ((p = findWord(code, "scheduleLambda", p)) !=
            std::string::npos) {
@@ -681,9 +682,10 @@ checkEventAlloc(const FileLintState &st)
                         Rule::eventAlloc, at,
                         "scheduleLambda() with a capturing lambda "
                         "pays a std::function conversion per call — "
-                        "hot paths use EventQueue::scheduleCallback()"
-                        ", which constructs the callable in recycled "
-                        "pooled storage");
+                        "schedule through "
+                        "EventQueue::scheduleCallback(), which "
+                        "constructs the callable in recycled pooled "
+                        "storage");
                     break;
                 }
                 j = close;
@@ -1229,10 +1231,11 @@ ruleRationale(Rule r)
                "EventQueue paths; raw new/delete of events caused a "
                "use-after-free (whitelist: sim/event_queue)";
       case Rule::eventAlloc:
-        return "one-shot callbacks allocate unless they go through "
-               "the pooled EventQueue::scheduleCallback(); "
-               "new LambdaEvent / scheduleLambda(capturing) pay a "
-               "std::function per call (whitelist: sim/event_queue)";
+        return "one-shot callbacks go through the pooled "
+               "EventQueue::scheduleCallback(); a heap-allocated "
+               "event (new LambdaEvent) or a std::function-taking "
+               "scheduleLambda(capturing) pays an allocation per "
+               "call (whitelist: sim/event_queue)";
       case Rule::dupStat:
         return "a stat name may register only once per group, or "
                "dump output silently aliases two counters";

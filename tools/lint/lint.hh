@@ -11,10 +11,10 @@
  *   wall-clock      no wall-clock APIs outside sim/wall_timer
  *   raw-rand        no rand()/std::random_device etc. outside sim/rng
  *   unordered-iter  no iteration over std::unordered_map/_set
- *   event-new       events go through EventQueue factory paths, not
- *                   raw new/delete (the PR 1 use-after-free class)
+ *   event-new       events go through EventQueue::scheduleCallback(),
+ *                   not raw new/delete (a use-after-free class)
  *   event-alloc     one-shot callbacks in hot paths use the pooled
- *                   scheduleCallback(), not an allocating
+ *                   EventQueue::scheduleCallback(), not an allocating
  *                   new LambdaEvent / scheduleLambda(capturing)
  *   dup-stat        a stat name registers at most once per group
  *   float-arith     no float in simulation arithmetic (use double)
