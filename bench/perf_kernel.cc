@@ -21,8 +21,9 @@
  *                    per-layer collective of TP-8 LLM serving, where
  *                    building each op's chunk schedule is a large
  *                    share of the work
- *   fault_storm      all-reduce under a transient chunk-error rate
- *                    plus mid-flight link derates (retry/backoff)
+ *   fault_storm      back-to-back all-reduces under a transient
+ *                    chunk-error rate plus mid-flight link derates
+ *                    (retry/backoff)
  *   link_occupancy   the occupancy layer alone, in the two shapes the
  *                    simulator produces: 1 MiB chunks on a node x16
  *                    link (run store) and 288 B stripes arriving out
@@ -218,6 +219,8 @@ struct Sizes
     std::uint64_t comm_bytes;
     unsigned comm_iters;
     std::uint64_t fault_bytes;
+    // fault_storm: faulted all-reduces per timed repetition
+    unsigned fault_rounds;
     // comm_allreduce_octo: ring + direct rounds
     unsigned octo_iters;
     // comm_direct_tp8
@@ -238,11 +241,11 @@ sizesFor(bool quick)
 {
     if (quick)
         return {2'000,   20,       64,      1'000,   16 * MiB,
-                1,       16 * MiB, 1,       20,      512,
-                200'000, 100'000,  1 << 17, 2};
+                1,       16 * MiB, 1,       1,       20,
+                512,     200'000,  100'000, 1 << 17, 2};
     return {20'000,    100,       256,       5'000,     64 * MiB,
-            4,         64 * MiB,  500,       8'000,     8'192,
-            2'000'000, 2'000'000, 1 << 21,   20};
+            4,         64 * MiB,  500,       500,       8'000,
+            8'192,     2'000'000, 2'000'000, 1 << 21,   20};
 }
 
 /** The comm benches' communicator: 1 MiB pipelining chunks. */
@@ -324,6 +327,7 @@ hop(EventQueue &eq, std::vector<std::uint64_t> &left, std::size_t i)
 {
     // Boxed in a std::function on purpose: the boxed one-shot path
     // the pooled storm below skips.
+    // ehpsim-lint: allow(event-alloc)
     eq.scheduleCallback(eq.curTick() + 1 + (i % 7),
                         std::function<void()>([&eq, &left, i] {
                             if (--left[i] > 0)
@@ -487,8 +491,10 @@ benchCommDirectTp8(const Sizes &sz, unsigned repeat)
 }
 
 /**
- * All-reduce under a 5% transient chunk-error rate plus two x16
- * derates mid-flight: the retry/backoff path reschedules heavily.
+ * Back-to-back all-reduces under a 5% transient chunk-error rate,
+ * plus two x16 derates during the first: the retry/backoff path
+ * reschedules heavily. The full size runs 500 of them (~0.1 s), so
+ * a repetition is long enough to time a retry-path change.
  */
 BenchResult
 benchFaultStorm(const Sizes &sz, unsigned repeat)
@@ -515,8 +521,10 @@ benchFaultStorm(const Sizes &sz, unsigned repeat)
         inj.attachCommGroup(&w.group);
         inj.arm();
         WallTimer wt;
-        w.run(comm::Collective::allReduce, sz.fault_bytes,
-              comm::Algorithm::ring);
+        for (unsigned i = 0; i < sz.fault_rounds; ++i) {
+            w.run(comm::Collective::allReduce, sz.fault_bytes,
+                  comm::Algorithm::ring);
+        }
         w.eq.run();     // drain any faults scheduled past completion
         processed = w.eq.numProcessed();
         final_tick = w.eq.curTick();

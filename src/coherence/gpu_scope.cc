@@ -7,22 +7,6 @@ namespace ehpsim
 namespace coherence
 {
 
-const char *
-scopeName(Scope s)
-{
-    switch (s) {
-      case Scope::workgroup:
-        return "workgroup";
-      case Scope::agent:
-        return "agent";
-      case Scope::device:
-        return "device";
-      case Scope::system:
-        return "system";
-    }
-    panic("bad scope");
-}
-
 ScopeController::ScopeController(SimObject *parent,
                                  const std::string &name)
     : SimObject(parent, name),

@@ -34,8 +34,6 @@ enum class Scope
     system,     ///< visible across sockets (software coherence)
 };
 
-const char *scopeName(Scope s);
-
 /** Cache maintenance cost of one acquire or release. */
 struct ScopeOp
 {

@@ -10,24 +10,6 @@ namespace ehpsim
 namespace coherence
 {
 
-const char *
-stateName(State s)
-{
-    switch (s) {
-      case State::invalid:
-        return "I";
-      case State::shared:
-        return "S";
-      case State::exclusive:
-        return "E";
-      case State::owned:
-        return "O";
-      case State::modified:
-        return "M";
-    }
-    panic("bad coherence state");
-}
-
 ProbeFilter::ProbeFilter(SimObject *parent, const std::string &name,
                          std::size_t capacity_lines,
                          unsigned line_bytes)

@@ -259,8 +259,7 @@ CommGroup::addJoin(CollectiveOp &op, std::uint32_t pred,
 }
 
 void
-CommGroup::buildRing(CollectiveOp &op, std::uint64_t bytes,
-                     unsigned root)
+CommGroup::buildRing(CollectiveOp &op, std::uint64_t bytes)
 {
     const unsigned n = numRanks();
     if (n < 2 || bytes == 0)
@@ -302,11 +301,11 @@ CommGroup::buildRing(CollectiveOp &op, std::uint64_t bytes,
         break;
       }
       case Collective::broadcast: {
-        // Chunks pipeline from the root around the ring.
+        // Chunks pipeline from rank 0 around the ring.
         const ChunkSpan span = chunkSpanOf(bytes);
         op.joins_.reserve((n - 2) * span.count);
         for (std::uint64_t k = 0; k < span.count; ++k)
-            chain(root, n - 1, k + 1 == span.count ? span.last : cb);
+            chain(0, n - 1, k + 1 == span.count ? span.last : cb);
         break;
       }
       case Collective::allToAll: {
@@ -337,8 +336,7 @@ CommGroup::buildRing(CollectiveOp &op, std::uint64_t bytes,
 }
 
 void
-CommGroup::buildDirect(CollectiveOp &op, std::uint64_t bytes,
-                       unsigned root)
+CommGroup::buildDirect(CollectiveOp &op, std::uint64_t bytes)
 {
     const unsigned n = numRanks();
     if (n < 2 || bytes == 0)
@@ -411,10 +409,8 @@ CommGroup::buildDirect(CollectiveOp &op, std::uint64_t bytes,
         for (std::uint64_t k = 0; k < span.count; ++k) {
             const std::uint64_t c =
                 k + 1 == span.count ? span.last : cb;
-            for (unsigned d = 0; d < n; ++d) {
-                if (d != root)
-                    addTask(op, root, d, c, false);
-            }
+            for (unsigned d = 1; d < n; ++d)
+                addTask(op, 0, d, c, false);
         }
         break;
       }
@@ -623,13 +619,6 @@ OpHandle
 CommGroup::collective(Collective coll, Tick when, std::uint64_t bytes,
                       Algorithm algo)
 {
-    return launch(coll, when, bytes, algo, 0);
-}
-
-OpHandle
-CommGroup::launch(Collective coll, Tick when, std::uint64_t bytes,
-                  Algorithm algo, unsigned root)
-{
     if (coll == Collective::sendRecv)
         fatal("CommGroup '", name(), "': send_recv is "
               "point-to-point; use sendRecv()");
@@ -644,9 +633,9 @@ CommGroup::launch(Collective coll, Tick when, std::uint64_t bytes,
         op->data_bytes_ = n < 2 ? 0 : bytes * n * (n - 1);
     }
     if (op->algo_ == Algorithm::ring)
-        buildRing(*op, bytes, root);
+        buildRing(*op, bytes);
     else
-        buildDirect(*op, bytes, root);
+        buildDirect(*op, bytes);
     return start(when, op);
 }
 
@@ -667,16 +656,6 @@ CommGroup::reduceScatter(Tick when, std::uint64_t bytes,
                          Algorithm algo)
 {
     return collective(Collective::reduceScatter, when, bytes, algo);
-}
-
-OpHandle
-CommGroup::broadcast(Tick when, unsigned root, std::uint64_t bytes,
-                     Algorithm algo)
-{
-    if (root >= numRanks())
-        fatal("broadcast root ", root, " out of range (", numRanks(),
-              " ranks)");
-    return launch(Collective::broadcast, when, bytes, algo, root);
 }
 
 OpHandle

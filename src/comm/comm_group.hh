@@ -234,8 +234,6 @@ class CommGroup : public SimObject
                        Algorithm algo = Algorithm::automatic);
     OpHandle reduceScatter(Tick when, std::uint64_t bytes,
                            Algorithm algo = Algorithm::automatic);
-    OpHandle broadcast(Tick when, unsigned root, std::uint64_t bytes,
-                       Algorithm algo = Algorithm::automatic);
     OpHandle allToAll(Tick when, std::uint64_t bytes,
                       Algorithm algo = Algorithm::automatic);
     /** @} */
@@ -375,15 +373,8 @@ class CommGroup : public SimObject
                  std::uint32_t npred, std::uint32_t first,
                  std::uint32_t cnt);
 
-    void buildRing(CollectiveOp &op, std::uint64_t bytes,
-                   unsigned root);
-    void buildDirect(CollectiveOp &op, std::uint64_t bytes,
-                     unsigned root);
-
-    /** Build a collective's DAG and start it; @p root is the
-     *  broadcast source. */
-    OpHandle launch(Collective coll, Tick when, std::uint64_t bytes,
-                    Algorithm algo, unsigned root);
+    void buildRing(CollectiveOp &op, std::uint64_t bytes);
+    void buildDirect(CollectiveOp &op, std::uint64_t bytes);
 
     /** Record stats, clamp the start tick, schedule ready tasks. */
     OpHandle start(Tick when, OpHandle op);

@@ -36,28 +36,6 @@ MachineModel::effectiveMemBandwidth(std::uint64_t footprint) const
 }
 
 MachineModel
-modelFromPackage(soc::Package &pkg)
-{
-    MachineModel m;
-    m.name = pkg.config().name;
-    m.gen = pkg.config().xcd.cu.gen;
-    m.num_cus = pkg.totalCus();
-    m.gpu_clock_ghz = pkg.config().xcd.cu.clock_ghz;
-    m.mem_bw = pkg.peakMemBandwidth();
-    m.cache_bw = pkg.peakCacheBandwidth();
-    m.cache_capacity =
-        pkg.config().hbm.enable_infinity_cache
-            ? pkg.config().hbm.cache.size_bytes *
-                  pkg.memMap().numChannels()
-            : 0;
-    m.mem_capacity = pkg.memCapacity();
-    m.cpu_flops = pkg.peakCpuFlops(true);
-    m.cpu_mem_bw = pkg.numCcds() > 0 ? m.mem_bw : gbps(0.0);
-    m.unified = pkg.numCcds() > 0;
-    return m;
-}
-
-MachineModel
 mi300aModel()
 {
     MachineModel m;

@@ -18,7 +18,6 @@
 
 #include "gpu/cdna.hh"
 #include "sim/units.hh"
-#include "soc/package.hh"
 
 namespace ehpsim
 {
@@ -69,9 +68,6 @@ struct MachineModel
     /** Effective bandwidth for a streaming footprint of @p bytes. */
     BytesPerSecond effectiveMemBandwidth(std::uint64_t footprint) const;
 };
-
-/** Model extracted from a constructed package (keeps them in sync). */
-MachineModel modelFromPackage(soc::Package &pkg);
 
 /** MI300A APU (unified memory). */
 MachineModel mi300aModel();

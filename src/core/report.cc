@@ -32,14 +32,5 @@ RunReport::transferSeconds() const
     return t;
 }
 
-double
-RunReport::overheadSeconds() const
-{
-    double t = 0;
-    for (const auto &p : phases)
-        t += p.overhead_s;
-    return t;
-}
-
 } // namespace core
 } // namespace ehpsim

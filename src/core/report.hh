@@ -54,7 +54,6 @@ struct RunReport
     double gpuSeconds() const;
     double cpuSeconds() const;
     double transferSeconds() const;
-    double overheadSeconds() const;
 
     /** Achieved flops/s given the workload's GPU flops. */
     double

@@ -44,15 +44,6 @@ Ccd::Ccd(SimObject *parent, const std::string &name,
     }
 }
 
-double
-Ccd::peakFlops(bool fp64) const
-{
-    if (cores_.empty())
-        return 0.0;
-    return cores_[0]->peakFlops(fp64) *
-           static_cast<double>(params_.num_cores);
-}
-
 Tick
 Ccd::runParallel(Tick start, const CpuWork &work, unsigned n_cores)
 {

@@ -45,9 +45,6 @@ class Ccd : public SimObject
 
     mem::Cache *l3() { return l3_.get(); }
 
-    /** Aggregate peak vector flops/s over all cores. */
-    double peakFlops(bool fp64) const;
-
     /**
      * Split @p work evenly over @p n_cores cores (all when 0) and run
      * the shards concurrently. @return the last completion tick.

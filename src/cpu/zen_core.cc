@@ -2,24 +2,10 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-
 namespace ehpsim
 {
 namespace cpu
 {
-
-const char *
-zenGenName(ZenGen g)
-{
-    switch (g) {
-      case ZenGen::zen3:
-        return "Zen3";
-      case ZenGen::zen4:
-        return "Zen4";
-    }
-    panic("bad zen generation");
-}
 
 ZenCoreParams
 zen4CoreParams()
@@ -74,14 +60,6 @@ ZenCore::ZenCore(SimObject *parent, const std::string &name,
     l2_ = std::make_unique<mem::Cache>(this, "l2", params.l2, l3);
     l1d_ = std::make_unique<mem::Cache>(this, "l1d", params.l1d,
                                         l2_.get());
-}
-
-double
-ZenCore::peakFlops(bool fp64) const
-{
-    const double per_cycle = fp64 ? params_.fp64_flops_per_cycle
-                                  : params_.fp32_flops_per_cycle;
-    return per_cycle * params_.clock_ghz * 1e9;
 }
 
 Tick

@@ -29,8 +29,6 @@ enum class ZenGen
     zen4,
 };
 
-const char *zenGenName(ZenGen g);
-
 struct ZenCoreParams
 {
     ZenGen gen = ZenGen::zen4;
@@ -71,9 +69,6 @@ class ZenCore : public SimObject
     mem::Cache *l2() { return l2_.get(); }
 
     Tick busyUntil() const { return busy_until_; }
-
-    /** Peak vector flops/s. */
-    double peakFlops(bool fp64) const;
 
     /** Run @p work; @return completion tick. */
     Tick run(Tick start, const CpuWork &work);

@@ -10,24 +10,6 @@ namespace ehpsim
 namespace fabric
 {
 
-const char *
-linkKindName(LinkKind k)
-{
-    switch (k) {
-      case LinkKind::onDie:
-        return "on_die";
-      case LinkKind::usr:
-        return "usr";
-      case LinkKind::interposer:
-        return "interposer";
-      case LinkKind::serdesIf:
-        return "serdes_if";
-      case LinkKind::pcie:
-        return "pcie";
-    }
-    panic("bad link kind");
-}
-
 LinkParams
 onDieLinkParams()
 {

@@ -38,8 +38,6 @@ enum class LinkKind
     pcie,           ///< x16 PCIe Gen5
 };
 
-const char *linkKindName(LinkKind k);
-
 struct LinkParams
 {
     LinkKind kind = LinkKind::onDie;

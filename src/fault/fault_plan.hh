@@ -84,9 +84,8 @@ LinkFault parseLinkFault(const std::string &spec);
 
 /**
  * Harvest an XCD down to @p active_cus enabled CUs (stock MI300
- * ships 38 of 40). Flows into dispatch, peak flops, the roofline
- * (via modelFromPackage) and utilization. Fatal on 0 or more CUs
- * than physically present.
+ * ships 38 of 40). Flows into dispatch, peak flops and
+ * utilization. Fatal on 0 or more CUs than physically present.
  */
 void applyCuHarvest(gpu::XcdParams &params, unsigned active_cus);
 

@@ -7,20 +7,6 @@ namespace ehpsim
 namespace geom
 {
 
-const char *
-bondKindName(BondKind k)
-{
-    switch (k) {
-      case BondKind::hybridBond:
-        return "hybrid_bond";
-      case BondKind::microbump:
-        return "microbump";
-      case BondKind::c4Bump:
-        return "c4_bump";
-    }
-    panic("bad bond kind");
-}
-
 double
 BondInterface::connectionsPerMm2() const
 {

@@ -35,8 +35,6 @@ enum class BondKind
     c4Bump,         ///< conventional flip-chip bumps (2D substrate)
 };
 
-const char *bondKindName(BondKind k);
-
 struct BondInterface
 {
     BondKind kind = BondKind::hybridBond;

@@ -7,30 +7,6 @@ namespace ehpsim
 namespace geom
 {
 
-const char *
-regionKindName(RegionKind k)
-{
-    switch (k) {
-      case RegionKind::compute:
-        return "compute";
-      case RegionKind::cache:
-        return "cache";
-      case RegionKind::memory:
-        return "memory";
-      case RegionKind::phy:
-        return "phy";
-      case RegionKind::io:
-        return "io";
-      case RegionKind::fabric:
-        return "fabric";
-      case RegionKind::substrate:
-        return "substrate";
-      case RegionKind::unused:
-        return "unused";
-    }
-    panic("bad region kind");
-}
-
 void
 Floorplan::add(const std::string &name, const Rect &r, RegionKind kind)
 {
@@ -47,17 +23,6 @@ Floorplan::find(const std::string &name) const
             return &r;
     }
     return nullptr;
-}
-
-std::vector<const Region *>
-Floorplan::byKind(RegionKind kind) const
-{
-    std::vector<const Region *> out;
-    for (const auto &r : regions_) {
-        if (r.kind == kind)
-            out.push_back(&r);
-    }
-    return out;
 }
 
 bool

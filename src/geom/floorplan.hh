@@ -33,8 +33,6 @@ enum class RegionKind
     unused,     ///< explicitly wasted area (EHPv4 critique)
 };
 
-const char *regionKindName(RegionKind k);
-
 struct Region
 {
     std::string name;
@@ -56,9 +54,6 @@ class Floorplan
     const std::vector<Region> &regions() const { return regions_; }
 
     const Region *find(const std::string &name) const;
-
-    /** Regions of a given kind. */
-    std::vector<const Region *> byKind(RegionKind kind) const;
 
     /** True when no two regions overlap. */
     bool overlapFree() const;

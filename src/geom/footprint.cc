@@ -16,13 +16,6 @@ InterfaceBank::pads() const
     return grid.sites();
 }
 
-std::size_t
-InterfaceBank::numPads() const
-{
-    PowerTsvGrid grid(region, pitch_mm);
-    return grid.numSites();
-}
-
 void
 ChipletFootprint::addBank(const InterfaceBank &bank)
 {
@@ -30,16 +23,6 @@ ChipletFootprint::addBank(const InterfaceBank &bank)
         fatal("interface bank '", bank.name, "' outside die '", name_,
               "'");
     banks_.push_back(bank);
-}
-
-const InterfaceBank *
-ChipletFootprint::findBank(const std::string &name) const
-{
-    for (const auto &b : banks_) {
-        if (b.name == name)
-            return &b;
-    }
-    return nullptr;
 }
 
 std::vector<Point>
@@ -51,18 +34,6 @@ ChipletFootprint::allPads() const
         out.insert(out.end(), pads.begin(), pads.end());
     }
     return out;
-}
-
-Rect
-PlacedChiplet::placedOutline() const
-{
-    return transform.apply(footprint->outline());
-}
-
-std::vector<Point>
-PlacedChiplet::placedPads() const
-{
-    return transform.apply(footprint->allPads());
 }
 
 } // namespace geom

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "geom/rect.hh"
-#include "geom/transform.hh"
 #include "geom/tsv_grid.hh"
 
 namespace ehpsim
@@ -32,9 +31,6 @@ struct InterfaceBank
 
     /** Materialize the pad sites (centred grid, like PowerTsvGrid). */
     std::vector<Point> pads() const;
-
-    /** Number of pads in the bank. */
-    std::size_t numPads() const;
 };
 
 /** A die outline plus its signal interface banks. */
@@ -60,8 +56,6 @@ class ChipletFootprint
 
     const std::vector<InterfaceBank> &banks() const { return banks_; }
 
-    const InterfaceBank *findBank(const std::string &name) const;
-
     /** All pads from all banks, in die-local coordinates. */
     std::vector<Point> allPads() const;
 
@@ -70,19 +64,6 @@ class ChipletFootprint
     double width_;
     double height_;
     std::vector<InterfaceBank> banks_;
-};
-
-/** A placed chiplet: footprint + placement transform. */
-struct PlacedChiplet
-{
-    const ChipletFootprint *footprint;
-    Transform transform;
-
-    /** Placed outline in package coordinates. */
-    Rect placedOutline() const;
-
-    /** All pads in package coordinates. */
-    std::vector<Point> placedPads() const;
 };
 
 } // namespace geom

@@ -35,18 +35,5 @@ PowerDeliveryModel::check(const std::string &path_name,
     fatal("unknown power delivery path '", path_name, "'");
 }
 
-std::vector<DeliveryCheck>
-PowerDeliveryModel::checkAll(
-    const std::vector<double> &watts_per_path) const
-{
-    if (watts_per_path.size() != paths_.size())
-        fatal("checkAll: demand count ", watts_per_path.size(),
-              " != path count ", paths_.size());
-    std::vector<DeliveryCheck> out;
-    for (std::size_t i = 0; i < paths_.size(); ++i)
-        out.push_back(check(paths_[i].name, watts_per_path[i]));
-    return out;
-}
-
 } // namespace geom
 } // namespace ehpsim

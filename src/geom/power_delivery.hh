@@ -62,10 +62,6 @@ class PowerDeliveryModel
     DeliveryCheck check(const std::string &path_name,
                         double watts) const;
 
-    /** Check every path against per-path power demands (by index). */
-    std::vector<DeliveryCheck>
-    checkAll(const std::vector<double> &watts_per_path) const;
-
   private:
     double supply_v_;
     std::vector<DeliveryPath> paths_;

@@ -23,46 +23,6 @@ orientName(Orient o)
     panic("bad orientation");
 }
 
-Orient
-compose(Orient inner, Orient outer)
-{
-    // The group {r0, r180, mirrored, mirroredR180} is the Klein
-    // four-group: every element is its own inverse, and composing two
-    // distinct non-identity elements yields the third.
-    if (inner == Orient::r0)
-        return outer;
-    if (outer == Orient::r0)
-        return inner;
-    if (inner == outer)
-        return Orient::r0;
-    // Distinct non-identity elements: result is the remaining one.
-    int mask = 0;
-    auto bits = [](Orient o) {
-        switch (o) {
-          case Orient::r0:
-            return 0;
-          case Orient::r180:
-            return 1;
-          case Orient::mirrored:
-            return 2;
-          case Orient::mirroredR180:
-            return 3;
-        }
-        return 0;
-    };
-    mask = bits(inner) ^ bits(outer);
-    switch (mask) {
-      case 1:
-        return Orient::r180;
-      case 2:
-        return Orient::mirrored;
-      case 3:
-        return Orient::mirroredR180;
-      default:
-        return Orient::r0;
-    }
-}
-
 Point
 Transform::apply(const Point &p) const
 {
@@ -83,16 +43,6 @@ Transform::apply(const Point &p) const
         break;
     }
     return {q.x + dx_, q.y + dy_};
-}
-
-Rect
-Transform::apply(const Rect &r) const
-{
-    const Point a = apply(Point{r.x, r.y});
-    const Point b = apply(Point{r.right(), r.top()});
-    const double nx = std::min(a.x, b.x);
-    const double ny = std::min(a.y, b.y);
-    return {nx, ny, std::fabs(b.x - a.x), std::fabs(b.y - a.y)};
 }
 
 std::vector<Point>

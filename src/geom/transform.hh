@@ -40,9 +40,6 @@ constexpr std::array<Orient, 4> allOrients = {
 /** Human-readable orientation name. */
 const char *orientName(Orient o);
 
-/** Orientation resulting from applying @p outer after @p inner. */
-Orient compose(Orient inner, Orient outer);
-
 /** True when the orientation includes a mirror. */
 inline bool
 isMirrored(Orient o)
@@ -66,9 +63,6 @@ class Transform
 
     /** Map a local point into the placed frame. */
     Point apply(const Point &p) const;
-
-    /** Map a local rectangle (axis-aligned in, axis-aligned out). */
-    Rect apply(const Rect &r) const;
 
     /** Map a whole set of points. */
     std::vector<Point> apply(const std::vector<Point> &pts) const;

@@ -9,12 +9,6 @@ namespace ehpsim
 namespace geom
 {
 
-void
-TsvSiteSet::add(const std::vector<Point> &pts)
-{
-    sites_.insert(sites_.end(), pts.begin(), pts.end());
-}
-
 bool
 TsvSiteSet::containsSite(const Point &p) const
 {
@@ -23,16 +17,6 @@ TsvSiteSet::containsSite(const Point &p) const
             return true;
     }
     return false;
-}
-
-bool
-TsvSiteSet::containsAll(const std::vector<Point> &pts) const
-{
-    for (const auto &p : pts) {
-        if (!containsSite(p))
-            return false;
-    }
-    return true;
 }
 
 std::size_t

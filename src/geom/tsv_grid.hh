@@ -37,17 +37,12 @@ class TsvSiteSet
 
     void add(const Point &p) { sites_.push_back(p); }
 
-    void add(const std::vector<Point> &pts);
-
     std::size_t size() const { return sites_.size(); }
 
     const std::vector<Point> &sites() const { return sites_; }
 
     /** True if a site exists at @p p (within tolerance). */
     bool containsSite(const Point &p) const;
-
-    /** True if every point in @p pts lands on some site. */
-    bool containsAll(const std::vector<Point> &pts) const;
 
     /** Number of points in @p pts that land on some site. */
     std::size_t countAligned(const std::vector<Point> &pts) const;

@@ -128,15 +128,6 @@ Xcd::dispatchWorkgroup(Tick when, const WorkgroupWork &work)
     return best->runWorkgroup(ready + dispatch_period_, work);
 }
 
-Tick
-Xcd::drainTime() const
-{
-    Tick t = 0;
-    for (const auto &cu : cus_)
-        t = std::max(t, cu->busyUntil());
-    return t;
-}
-
 double
 Xcd::averageCuUtilization(Tick now) const
 {

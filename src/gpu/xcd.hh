@@ -68,9 +68,6 @@ class Xcd : public SimObject
      */
     Tick dispatchWorkgroup(Tick when, const WorkgroupWork &work);
 
-    /** Completion tick of all work dispatched so far. */
-    Tick drainTime() const;
-
     /** Fraction of CU busy-time among dispatched workgroups. */
     double averageCuUtilization(Tick now) const;
 

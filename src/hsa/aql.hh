@@ -59,9 +59,6 @@ struct AqlPacket
     coherence::Scope acquire_scope = coherence::Scope::device;
     coherence::Scope release_scope = coherence::Scope::device;
 
-    /** Barrier bit: later packets wait for this one. */
-    bool barrier = true;
-
     /** For barrierAnd packets: proceed once all of these are done. */
     std::vector<const Signal *> wait_signals;
 

@@ -17,18 +17,6 @@ constexpr std::uint64_t aqlPacketBytes = 64;
 constexpr std::uint64_t syncMessageBytes = 32;
 } // anonymous namespace
 
-const char *
-distributionPolicyName(DistributionPolicy p)
-{
-    switch (p) {
-      case DistributionPolicy::roundRobin:
-        return "round_robin";
-      case DistributionPolicy::blocked:
-        return "blocked";
-    }
-    panic("bad distribution policy");
-}
-
 Partition::Partition(SimObject *parent, const std::string &name,
                      std::vector<gpu::Xcd *> xcds,
                      coherence::ScopeController *scopes,
@@ -59,25 +47,6 @@ Partition::Partition(SimObject *parent, const std::string &name,
     }
     if (scope_ids_.size() != xcds_.size())
         fatal("scope_ids must parallel xcds");
-}
-
-unsigned
-Partition::totalCus() const
-{
-    unsigned n = 0;
-    for (const auto *x : xcds_)
-        n += x->numActiveCus();
-    return n;
-}
-
-double
-Partition::peakFlops(gpu::Pipe pipe, gpu::DataType dt,
-                     bool sparse) const
-{
-    double f = 0;
-    for (const auto *x : xcds_)
-        f += x->peakFlops(pipe, dt, sparse);
-    return f;
 }
 
 unsigned
@@ -190,43 +159,6 @@ Partition::dispatch(Tick when, const AqlPacket &pkt)
     }
     res.complete = release_done;
     return res;
-}
-
-Tick
-Partition::processQueues(Tick when,
-                         const std::vector<UserQueue *> &queues)
-{
-    std::vector<Tick> frontier(queues.size(), when);
-    Tick last = when;
-    bool any = true;
-    while (any) {
-        any = false;
-        for (std::size_t q = 0; q < queues.size(); ++q) {
-            auto pkt = queues[q]->pop();
-            if (!pkt)
-                continue;
-            any = true;
-            const auto res = dispatch(frontier[q], *pkt);
-            last = std::max(last, res.complete);
-            if (pkt->barrier)
-                frontier[q] = res.complete;
-        }
-    }
-    return last;
-}
-
-Tick
-Partition::processQueue(Tick when, UserQueue &queue)
-{
-    Tick frontier = when;   // next packet's earliest start
-    Tick last = when;
-    while (auto pkt = queue.pop()) {
-        const auto res = dispatch(frontier, *pkt);
-        last = std::max(last, res.complete);
-        if (pkt->barrier)
-            frontier = res.complete;
-    }
-    return last;
 }
 
 } // namespace hsa

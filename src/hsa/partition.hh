@@ -23,7 +23,7 @@
 #include "coherence/gpu_scope.hh"
 #include "fabric/network.hh"
 #include "gpu/xcd.hh"
-#include "hsa/queue.hh"
+#include "hsa/aql.hh"
 
 namespace ehpsim
 {
@@ -36,8 +36,6 @@ enum class DistributionPolicy
     roundRobin,     ///< spread consecutive workgroups (max bandwidth)
     blocked,        ///< contiguous blocks per XCD (max L2 reuse)
 };
-
-const char *distributionPolicyName(DistributionPolicy p);
 
 /** Outcome of one kernel dispatch. */
 struct DispatchResult
@@ -84,31 +82,8 @@ class Partition : public SimObject
         return scope_ids_;
     }
 
-    /** Total active CUs across the partition. */
-    unsigned totalCus() const;
-
-    /** Aggregate peak flops/s. */
-    double peakFlops(gpu::Pipe pipe, gpu::DataType dt,
-                     bool sparse = false) const;
-
     /** Dispatch one packet (Fig. 13 flow). */
     DispatchResult dispatch(Tick when, const AqlPacket &pkt);
-
-    /**
-     * Drain a user queue: pop every pending packet and dispatch,
-     * honouring barrier bits. @return last completion tick.
-     */
-    Tick processQueue(Tick when, UserQueue &queue);
-
-    /**
-     * Drain several user queues round-robin, the way the hardware
-     * queue scheduler multiplexes the ACEs across processes: packet
-     * order (and barrier bits) are honoured within each queue but
-     * queues are independent of each other.
-     * @return last completion tick across all queues.
-     */
-    Tick processQueues(Tick when,
-                       const std::vector<UserQueue *> &queues);
 
     /** @{ statistics */
     stats::Scalar dispatches;

@@ -86,13 +86,6 @@ Cache::access(Tick when, Addr addr, std::uint64_t bytes, bool write)
     return res;
 }
 
-void
-Cache::probeInvalidate(Addr addr)
-{
-    if (array_.invalidate(addr))
-        ++probe_invalidations;
-}
-
 std::uint64_t
 Cache::flush(Tick when)
 {

@@ -40,9 +40,6 @@ class Cache : public MemDevice
     AccessResult access(Tick when, Addr addr, std::uint64_t bytes,
                         bool write) override;
 
-    /** Invalidate a single line (coherence probe). */
-    void probeInvalidate(Addr addr);
-
     /** Writeback+invalidate everything (GPU release at device scope). */
     std::uint64_t flush(Tick when);
 

@@ -33,18 +33,6 @@ hbm2eChannelParams()
     return p;
 }
 
-DramParams
-ddr5ChannelParams()
-{
-    DramParams p;
-    p.bandwidth = gbps(38.4);   // DDR5-4800 channel
-    p.access_latency = 90'000;
-    p.num_banks = 32;
-    p.t_rc = 46'000;
-    p.row_bytes = 8192;
-    return p;
-}
-
 DramChannel::DramChannel(SimObject *parent, const std::string &name,
                          const DramParams &params)
     : MemDevice(parent, name),

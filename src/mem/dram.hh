@@ -37,9 +37,6 @@ DramParams hbm3ChannelParams();
 /** HBM2e-class channel defaults (MI250X: 3.2 TB/s / 64 channels). */
 DramParams hbm2eChannelParams();
 
-/** DDR5-class channel defaults (EPYC host memory). */
-DramParams ddr5ChannelParams();
-
 class DramChannel : public MemDevice
 {
   public:

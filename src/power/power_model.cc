@@ -112,19 +112,6 @@ PowerModel::maxPower() const
     return p;
 }
 
-std::vector<double>
-PowerModel::domainDemand(const std::vector<double> &utilization) const
-{
-    if (utilization.size() != components_.size())
-        fatal("utilization vector must parallel components");
-    std::vector<double> demand(numDomains, 0.0);
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        demand[static_cast<unsigned>(components_[i].domain)] +=
-            components_[i].powerAt(utilization[i]);
-    }
-    return demand;
-}
-
 PowerModel *
 PowerModel::makeMi300a(SimObject *parent)
 {

@@ -99,13 +99,6 @@ class PowerModel : public SimObject
     /** Sum of peak power — the unconstrained maximum. */
     double maxPower() const;
 
-    /**
-     * Power demand per domain for given per-component utilizations
-     * (parallel to components()).
-     */
-    std::vector<double>
-    domainDemand(const std::vector<double> &utilization) const;
-
     /** MI300A-flavoured component set at a 550 W TDP. */
     static PowerModel *makeMi300a(SimObject *parent);
 

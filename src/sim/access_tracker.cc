@@ -47,12 +47,6 @@ siteOf(const char *file, int line)
 
 } // anonymous namespace
 
-AccessTracker *
-AccessTracker::current()
-{
-    return tl_current;
-}
-
 void
 AccessTracker::beginEvent(Tick when, std::uint64_t seq)
 {

@@ -109,13 +109,6 @@ class AccessTracker
     /** Write the full ehpsim-race-v2 report as one JSON object. */
     void dumpJson(json::JsonWriter &jw) const;
 
-    /**
-     * The tracker bound to this thread by TrackerScope, or null.
-     * Thread-local so every SweepRunner worker can drive its own
-     * scenario under its own tracker.
-     */
-    static AccessTracker *current();
-
   private:
     friend class TrackerScope;
 

@@ -13,7 +13,7 @@ namespace logging_detail
 
 namespace
 {
-// Atomic so warn()/inform() are safe from concurrent sweep workers.
+// Atomic so warn() is safe from concurrent sweep workers.
 std::atomic<std::uint64_t> warn_count{0};
 std::atomic<bool> quiet{false};
 } // anonymous namespace
@@ -40,13 +40,6 @@ warnImpl(const std::string &msg)
     warn_count.fetch_add(1, std::memory_order_relaxed);
     if (!quiet.load(std::memory_order_relaxed))
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (!quiet.load(std::memory_order_relaxed))
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 std::uint64_t

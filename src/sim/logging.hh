@@ -3,8 +3,8 @@
  * gem5-style status and error reporting helpers.
  *
  * panic() is for simulator bugs (aborts); fatal() is for user/config
- * errors (clean exit); warn()/inform() report conditions without
- * stopping the simulation.
+ * errors (clean exit); warn() reports a condition without stopping
+ * the simulation.
  */
 
 #ifndef EHPSIM_SIM_LOGGING_HH
@@ -34,12 +34,11 @@ concat(Args&&... args)
 [[noreturn]] void fatalImpl(const std::string &msg, const char *file,
                             int line);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Number of warn() calls so far (used by tests). */
 std::uint64_t warnCount();
 
-/** Suppress or re-enable warn/inform console output (used by tests). */
+/** Suppress or re-enable warn console output (used by tests). */
 void setQuiet(bool quiet);
 
 } // namespace logging_detail
@@ -70,15 +69,6 @@ void
 warn(Args&&... args)
 {
     logging_detail::warnImpl(
-        logging_detail::concat(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status. */
-template <typename... Args>
-void
-inform(Args&&... args)
-{
-    logging_detail::informImpl(
         logging_detail::concat(std::forward<Args>(args)...));
 }
 

@@ -1,7 +1,5 @@
 #include "sim/rng.hh"
 
-#include "sim/snapshot.hh"
-
 namespace ehpsim
 {
 
@@ -69,26 +67,6 @@ bool
 Rng::nextBool(double p)
 {
     return nextDouble() < p;
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next());
-}
-
-void
-Rng::snapshot(SnapshotWriter &w) const
-{
-    for (const auto s : s_)
-        w.putU64(s);
-}
-
-void
-Rng::restore(SnapshotReader &r)
-{
-    for (auto &s : s_)
-        s = r.getU64();
 }
 
 double

@@ -13,9 +13,6 @@
 namespace ehpsim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 class Rng
 {
   public:
@@ -32,14 +29,6 @@ class Rng
 
     /** Bernoulli draw with probability @p p of true. */
     bool nextBool(double p);
-
-    /** Derive an independent child stream (for per-component RNGs). */
-    Rng fork();
-
-    /** @{ checkpoint the stream position (DESIGN.md §16) */
-    void snapshot(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-    /** @} */
 
   private:
     std::uint64_t s_[4];

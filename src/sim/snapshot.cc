@@ -23,7 +23,6 @@ enum Tag : std::uint8_t
     tagU8 = 0x01,
     tagU32 = 0x02,
     tagU64 = 0x03,
-    tagI64 = 0x04,
     tagF64 = 0x05,
     tagString = 0x06,
     tagSection = 0x07,
@@ -36,7 +35,6 @@ tagName(std::uint8_t t)
       case tagU8: return "u8";
       case tagU32: return "u32";
       case tagU64: return "u64";
-      case tagI64: return "i64";
       case tagF64: return "f64";
       case tagString: return "string";
       case tagSection: return "section";
@@ -118,14 +116,6 @@ SnapshotWriter::putU64(std::uint64_t v)
     unsigned char b[8];
     encodeLe(b, v);
     tagged(tagU64, b, sizeof(b));
-}
-
-void
-SnapshotWriter::putI64(std::int64_t v)
-{
-    unsigned char b[8];
-    encodeLe<std::uint64_t>(b, static_cast<std::uint64_t>(v));
-    tagged(tagI64, b, sizeof(b));
 }
 
 void
@@ -227,17 +217,6 @@ SnapshotReader::getU64()
         reinterpret_cast<const unsigned char *>(blob_.data() + pos_));
     pos_ += 8;
     return v;
-}
-
-std::int64_t
-SnapshotReader::getI64()
-{
-    tag(tagI64, "i64");
-    need(8, "i64");
-    const auto v = decodeLe<std::uint64_t>(
-        reinterpret_cast<const unsigned char *>(blob_.data() + pos_));
-    pos_ += 8;
-    return static_cast<std::int64_t>(v);
 }
 
 double

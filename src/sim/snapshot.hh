@@ -67,7 +67,6 @@ class SnapshotWriter
     void putU8(std::uint8_t v);
     void putU32(std::uint32_t v);
     void putU64(std::uint64_t v);
-    void putI64(std::int64_t v);
     void putF64(double v);
     void putBool(bool v) { putU8(v ? 1 : 0); }
     void putString(std::string_view v);
@@ -101,7 +100,6 @@ class SnapshotReader
     std::uint8_t getU8();
     std::uint32_t getU32();
     std::uint64_t getU64();
-    std::int64_t getI64();
     double getF64();
     bool getBool() { return getU8() != 0; }
     std::string getString();

@@ -392,15 +392,6 @@ StatGroup::dumpStats(std::ostream &os) const
 }
 
 void
-StatGroup::resetStats()
-{
-    for (auto *stat : statList())
-        stat->reset();
-    for (auto *group : groupList())
-        group->resetStats();
-}
-
-void
 StatGroup::dumpJsonStats(json::JsonWriter &jw) const
 {
     jw.beginObject();
@@ -411,18 +402,6 @@ StatGroup::dumpJsonStats(json::JsonWriter &jw) const
         group->dumpJsonStats(jw);
     }
     jw.endObject();
-}
-
-void
-dumpJson(const StatGroup &root, std::ostream &os)
-{
-    json::JsonWriter jw(os);
-    jw.beginObject();
-    jw.kv("name", root.statName());
-    jw.key("stats");
-    root.dumpJsonStats(jw);
-    jw.endObject();
-    os << "\n";
 }
 
 void

@@ -371,9 +371,6 @@ class StatGroup
      */
     void dumpJsonStats(json::JsonWriter &jw) const;
 
-    /** Reset this group's subtree. */
-    void resetStats();
-
     ListRange<StatBase> statList() const { return {stat_head_, nstats_}; }
 
     ListRange<StatGroup> groupList() const
@@ -423,12 +420,6 @@ class StatGroup
     std::size_t nstats_ = 0;
     std::size_t ngroups_ = 0;
 };
-
-/**
- * Serialize @p root's subtree as a complete JSON document:
- * {"name": <group name>, "stats": { ...dumpJsonStats()... }}.
- */
-void dumpJson(const StatGroup &root, std::ostream &os);
 
 } // namespace stats
 } // namespace ehpsim

@@ -23,12 +23,6 @@ WallTimer::WallTimer()
 {
 }
 
-void
-WallTimer::restart()
-{
-    start_ns_ = nowNs();
-}
-
 double
 WallTimer::seconds() const
 {

@@ -24,10 +24,7 @@ class WallTimer
     /** Starts timing at construction. */
     WallTimer();
 
-    /** Restart the epoch. */
-    void restart();
-
-    /** Host seconds elapsed since construction or restart(). */
+    /** Host seconds elapsed since construction. */
     double seconds() const;
 
   private:

@@ -113,14 +113,6 @@ NodeTopology::nodeId(unsigned endpoint) const
     return nodes_[endpoint];
 }
 
-bool
-NodeTopology::isHost(unsigned endpoint) const
-{
-    if (endpoint >= numEndpoints())
-        fatal("bad endpoint index ", endpoint);
-    return is_host_[endpoint];
-}
-
 std::vector<fabric::NodeId>
 NodeTopology::deviceRanks() const
 {

@@ -77,9 +77,6 @@ class NodeTopology : public SimObject
     /** Fabric node of endpoint @p endpoint. */
     fabric::NodeId nodeId(unsigned endpoint) const;
 
-    /** True when @p endpoint was added with addHost(). */
-    bool isHost(unsigned endpoint) const;
-
     /** Fabric nodes of the non-host endpoints, in index order. */
     std::vector<fabric::NodeId> deviceRanks() const;
 

@@ -188,13 +188,6 @@ Package::supportedPartitionCounts() const
     return out;
 }
 
-hsa::Partition *
-Package::unifiedPartition()
-{
-    auto parts = partitionInto(1);
-    return parts[0];
-}
-
 std::vector<hsa::Partition *>
 Package::partitionInto(unsigned n)
 {
@@ -231,15 +224,6 @@ Package::peakGpuFlops(gpu::Pipe pipe, gpu::DataType dt,
     double f = 0;
     for (const auto &x : xcds_)
         f += x->peakFlops(pipe, dt, sparse);
-    return f;
-}
-
-double
-Package::peakCpuFlops(bool fp64) const
-{
-    double f = 0;
-    for (const auto &c : ccds_)
-        f += c->peakFlops(fp64);
     return f;
 }
 

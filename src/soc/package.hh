@@ -111,9 +111,6 @@ class Package : public SimObject
     /** Legal partition counts for this product. */
     std::vector<unsigned> supportedPartitionCounts() const;
 
-    /** The single unified partition over every XCD. */
-    hsa::Partition *unifiedPartition();
-
     /**
      * Split the XCDs into @p n equal partitions (fatal if not a
      * legal count). Partition objects are owned by the package.
@@ -124,8 +121,6 @@ class Package : public SimObject
     /** @{ headline metrics (paper Fig. 19) */
     double peakGpuFlops(gpu::Pipe pipe, gpu::DataType dt,
                         bool sparse = false) const;
-
-    double peakCpuFlops(bool fp64 = true) const;
 
     BytesPerSecond peakMemBandwidth() const;
 

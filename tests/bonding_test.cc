@@ -69,13 +69,6 @@ TEST(Bonding, InvalidAreasFatal)
                  std::runtime_error);
 }
 
-TEST(Bonding, KindNames)
-{
-    EXPECT_STREQ(bondKindName(BondKind::hybridBond), "hybrid_bond");
-    EXPECT_STREQ(bondKindName(BondKind::microbump), "microbump");
-    EXPECT_STREQ(bondKindName(BondKind::c4Bump), "c4_bump");
-}
-
 TEST(Bonding, VCacheVsMi300PowerDelivery)
 {
     // The same hybrid-bond process, but MI300A's RDL landing halves

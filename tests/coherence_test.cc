@@ -277,8 +277,3 @@ TEST(ScopeController, UnknownXcdFatal)
                  std::runtime_error);
 }
 
-TEST(ScopeController, ScopeNames)
-{
-    EXPECT_STREQ(scopeName(Scope::workgroup), "workgroup");
-    EXPECT_STREQ(scopeName(Scope::system), "system");
-}

@@ -52,17 +52,6 @@ TEST(MachineModel, EffectiveBandwidthBlends)
     EXPECT_GT(large, 0.5 * m.mem_bw);
 }
 
-TEST(MachineModel, FromPackageMatchesConfig)
-{
-    SimObject root(nullptr, "root");
-    soc::Package pkg(&root, "pkg", soc::mi300aConfig());
-    const auto m = modelFromPackage(pkg);
-    EXPECT_EQ(m.num_cus, 228u);
-    EXPECT_NEAR(m.mem_bw / 1e12, 5.3, 0.1);
-    EXPECT_TRUE(m.unified);
-    EXPECT_EQ(m.cache_capacity, 256ull << 20);
-}
-
 TEST(Roofline, TriadTimeMatchesBandwidth)
 {
     auto m = mi300aModel();

@@ -127,8 +127,6 @@ TEST(Ccd, GeometryAndPeaks)
     FlatMemory memory(&root, 100'000);
     Ccd ccd(&root, "ccd", zen4CcdParams(), &memory);
     EXPECT_EQ(ccd.numCores(), 8u);
-    // 8 cores x 16 DP flops x 3.7 GHz = 473.6 Gflop/s.
-    EXPECT_NEAR(ccd.peakFlops(true) / 1e9, 473.6, 1.0);
 }
 
 TEST(Ccd, ParallelSplitsWork)

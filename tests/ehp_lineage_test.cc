@@ -119,7 +119,7 @@ TEST(EhpLineage, EventRunOnEhpv3Works)
     SimObject root(nullptr, "root");
     Package pkg(&root, "ehpv3", ehpv3Config());
     // Dispatch through a unified partition over all 8 GPU chiplets.
-    auto *part = pkg.unifiedPartition();
+    auto *part = pkg.partitionInto(1)[0];
     EXPECT_EQ(part->numXcds(), 8u);
     hsa::AqlPacket pkt;
     pkt.grid_workgroups = 64;

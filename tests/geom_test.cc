@@ -76,41 +76,10 @@ TEST_P(OrientInvolution, EveryOrientIsItsOwnInverse)
     Transform t(12, 8, o);
     const Point p{3.5, 1.25};
     EXPECT_EQ(t.apply(t.apply(p)), p);
-    EXPECT_EQ(compose(o, o), Orient::r0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOrients, OrientInvolution,
                          ::testing::ValuesIn(allOrients));
-
-class OrientCompose
-    : public ::testing::TestWithParam<std::tuple<Orient, Orient>>
-{
-};
-
-TEST_P(OrientCompose, ComposeMatchesSequentialApplication)
-{
-    const auto [a, b] = GetParam();
-    const double w = 10, h = 10;   // square die: bbox is preserved
-    Transform ta(w, h, a), tb(w, h, b);
-    Transform tc(w, h, compose(a, b));
-    const Point p{2.25, 7.5};
-    EXPECT_EQ(tb.apply(ta.apply(p)), tc.apply(p));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Pairs, OrientCompose,
-    ::testing::Combine(::testing::ValuesIn(allOrients),
-                       ::testing::ValuesIn(allOrients)));
-
-TEST(Transform, RectMappingPreservesArea)
-{
-    Transform t(10, 6, Orient::r180);
-    Rect r{1, 1, 3, 2};
-    const Rect m = t.apply(r);
-    EXPECT_DOUBLE_EQ(m.area(), r.area());
-    EXPECT_TRUE(nearEq(m.x, 6));
-    EXPECT_TRUE(nearEq(m.y, 3));
-}
 
 TEST(TsvSiteSet, MembershipWithTolerance)
 {
@@ -292,7 +261,6 @@ TEST(Floorplan, FindAndByKind)
     fp.add("c", {6, 6, 2, 2}, RegionKind::memory);
     EXPECT_NE(fp.find("a"), nullptr);
     EXPECT_EQ(fp.find("zz"), nullptr);
-    EXPECT_EQ(fp.byKind(RegionKind::compute).size(), 2u);
 }
 
 TEST(PowerDelivery, CapacityCheck)
@@ -334,14 +302,3 @@ TEST(Footprint, BankOutsideDieRejected)
         std::runtime_error);
 }
 
-TEST(Footprint, PlacedOutlineTransforms)
-{
-    ChipletFootprint fp("die", 6, 4);
-    PlacedChiplet placed{&fp,
-                         Transform(6, 4, Orient::r180, 10, 20)};
-    const Rect out = placed.placedOutline();
-    EXPECT_TRUE(nearEq(out.x, 10));
-    EXPECT_TRUE(nearEq(out.y, 20));
-    EXPECT_TRUE(nearEq(out.w, 6));
-    EXPECT_TRUE(nearEq(out.h, 4));
-}

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for HSA queues and the cooperative multi-XCD dispatch
- * protocol (paper Fig. 13).
+ * Tests for the cooperative multi-XCD dispatch protocol (paper
+ * Fig. 13).
  */
 
 #include <gtest/gtest.h>
 
 #include "hsa/partition.hh"
-#include "hsa/queue.hh"
 #include "hsa/shim.hh"
 
 using namespace ehpsim;
@@ -80,41 +79,6 @@ struct PartitionFixture
 };
 
 } // anonymous namespace
-
-TEST(UserQueue, RingSemantics)
-{
-    SimObject root(nullptr, "root");
-    UserQueue q(&root, "q", 4);
-    AqlPacket pkt;
-    EXPECT_TRUE(q.empty());
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(q.submit(pkt));
-    EXPECT_TRUE(q.full());
-    EXPECT_FALSE(q.submit(pkt));            // overrun rejected
-    EXPECT_DOUBLE_EQ(q.packets_dropped.value(), 1.0);
-    EXPECT_EQ(q.doorbell(), 4u);
-
-    EXPECT_TRUE(q.pop().has_value());
-    EXPECT_TRUE(q.submit(pkt));             // space again
-    int drained = 0;
-    while (q.pop())
-        ++drained;
-    EXPECT_EQ(drained, 4);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(UserQueue, IndicesMonotonic)
-{
-    SimObject root(nullptr, "root");
-    UserQueue q(&root, "q", 2);
-    AqlPacket pkt;
-    for (int i = 0; i < 10; ++i) {
-        q.submit(pkt);
-        q.pop();
-    }
-    EXPECT_EQ(q.writeIndex(), 10u);
-    EXPECT_EQ(q.readIndex(), 10u);
-}
 
 TEST(Partition, DispatchUsesAllXcds)
 {
@@ -194,36 +158,6 @@ TEST(Partition, MultiXcdFasterThanSingle)
                    single.iod0, {0});
     const auto one = solo.dispatch(0, single.makePacket(152));
     EXPECT_LT(two.complete, one.complete);
-}
-
-TEST(Partition, ProcessQueueHonorsBarriers)
-{
-    PartitionFixture f;
-    UserQueue q(&f.root, "q", 16);
-    Signal s1, s2;
-    auto p1 = f.makePacket(8, &s1);
-    p1.barrier = true;
-    auto p2 = f.makePacket(8, &s2);
-    q.submit(p1);
-    q.submit(p2);
-    const Tick done = f.part->processQueue(0, q);
-    EXPECT_TRUE(s1.done());
-    EXPECT_TRUE(s2.done());
-    // With the barrier, packet 2 started after packet 1 completed.
-    EXPECT_GT(s2.completed_at, s1.completed_at);
-    EXPECT_EQ(done, s2.completed_at);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(Partition, PeakFlopsSumsXcds)
-{
-    PartitionFixture f;
-    const double one =
-        f.xcd0->peakFlops(gpu::Pipe::vector, gpu::DataType::fp32);
-    EXPECT_DOUBLE_EQ(
-        f.part->peakFlops(gpu::Pipe::vector, gpu::DataType::fp32),
-        2 * one);
-    EXPECT_EQ(f.part->totalCus(), 76u);
 }
 
 TEST(Partition, EmptyPartitionFatal)

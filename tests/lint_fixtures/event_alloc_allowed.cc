@@ -1,24 +1,22 @@
-// Fixture: the same allocating one-shots, suppressed (0 event-alloc
-// findings; the event-new finding is suppressed separately). The
-// stand-ins mirror event_alloc_bad.cc; real code schedules through
-// EventQueue::scheduleCallback().
+// Fixture: the same boxed one-shots, suppressed (0 event-alloc
+// findings). The stand-in Queue mirrors event_alloc_bad.cc.
+#include <functional>
+
 struct Queue
 {
-    void schedule(void *ev, unsigned long when);
-    void scheduleLambda(unsigned long when, int fn);
-};
-
-struct LambdaEvent
-{
-    int fn;
+    template <typename F>
+    void scheduleCallback(unsigned long when, F &&fn);
 };
 
 void
 hotPath(Queue &eq)
 {
-    // ehpsim-lint: allow(event-alloc, event-new)
-    eq.schedule(new LambdaEvent{1}, 10);
-    eq.scheduleLambda(20, [&eq] { (void)eq; }); // ehpsim-lint: allow(event-alloc)
+    int a = 0, b = 0, c = 0, d = 0, e = 0, f = 0, g = 0;
     // ehpsim-lint: allow(event-alloc)
-    eq.scheduleLambda(30, [&eq](int) { (void)eq; });
+    eq.scheduleCallback(10, std::function<void()>([&eq] { (void)eq; }));
+    eq.scheduleCallback(20, std::function<void()>{[] {}}); // ehpsim-lint: allow(event-alloc)
+    // ehpsim-lint: allow(event-alloc)
+    eq.scheduleCallback(30, [&a, &b, &c, &d, &e, &f, &g] {
+        a = b + c + d + e + f + g;
+    });
 }

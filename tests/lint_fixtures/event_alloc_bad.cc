@@ -1,26 +1,26 @@
-// Fixture: allocating one-shot scheduling must be flagged
-// (3 findings: one new LambdaEvent — which also trips event-new —
-// and two capturing scheduleLambda calls; the capture-less call and
-// the array index are fine). Queue and LambdaEvent stand in for
-// allocating paths the EventQueue does not have; real code schedules
-// through the pooled EventQueue::scheduleCallback().
+// Fixture: one-shots that EventQueue::scheduleCallback() boxes in a
+// heap-allocated std::function must be flagged (3 findings: a
+// std::function built in the call, one built with braces, and a
+// lambda of 7 captures; the 6-capture lambda, the capture-less
+// lambda and the array index are fine).
+#include <functional>
+
 struct Queue
 {
-    void schedule(void *ev, unsigned long when);
-    void scheduleLambda(unsigned long when, int fn);
-};
-
-struct LambdaEvent
-{
-    int fn;
+    template <typename F>
+    void scheduleCallback(unsigned long when, F &&fn);
 };
 
 void
 hotPath(Queue &eq, int *counters, unsigned long idx)
 {
-    eq.schedule(new LambdaEvent{1}, 10);
-    eq.scheduleLambda(20, [&eq] { (void)eq; });
-    eq.scheduleLambda(30, [counters, idx](int) { (void)counters; });
-    eq.scheduleLambda(40, [] {});
-    eq.scheduleLambda(50, counters[idx]);
+    int a = 0, b = 0, c = 0, d = 0, e = 0, f = 0, g = 0;
+    eq.scheduleCallback(10, std::function<void()>([&eq] { (void)eq; }));
+    eq.scheduleCallback(20, std::function<void()>{[] {}});
+    eq.scheduleCallback(30, [&a, &b, &c, &d, &e, &f, &g] {
+        a = b + c + d + e + f + g;
+    });
+    eq.scheduleCallback(40, [&a, &b, &c, &d, &e, &f] { a = b + c + d + e + f; });
+    eq.scheduleCallback(50, [] {});
+    eq.scheduleCallback(60, counters[idx]);
 }

@@ -113,11 +113,11 @@ TEST(LintFixtures, EventAllocBadIsFlagged)
         else
             ADD_FAILURE() << toString(f);
     }
-    // One new LambdaEvent plus two capturing scheduleLambda calls;
-    // the capture-less lambda and the array index stay clean. The
-    // same new also trips event-new (complementary guidance).
+    // Two std::function arguments and one 7-capture lambda; the
+    // 6-capture and capture-less lambdas and the array index stay
+    // clean. Nothing here is a raw event new.
     EXPECT_EQ(alloc, 3u);
-    EXPECT_EQ(raw, 1u);
+    EXPECT_EQ(raw, 0u);
 }
 
 TEST(LintFixtures, EventAllocAllowedIsClean)
@@ -277,10 +277,12 @@ TEST(LintUnit, DefaultWhitelistExemptsWallTimer)
 
 TEST(LintUnit, DefaultWhitelistExemptsEventQueueAlloc)
 {
-    // The queue's own scheduleLambda() implementation and its
-    // oversized-callable fallback live in sim/event_queue.
+    // The queue's own oversized-callable fallback boxes in
+    // sim/event_queue.
     const std::string src =
-        "void f(Q &eq) { eq.scheduleLambda(1, [&eq] {}); }\n";
+        "void f(Q &eq) {\n"
+        "    eq.scheduleCallback(1, std::function<void()>([&eq] {}));\n"
+        "}\n";
     EXPECT_TRUE(
         lintContent("src/sim/event_queue.cc", src, Options{}).empty());
     const auto findings =

@@ -629,19 +629,6 @@ TEST(Cache, FlushWritesDirtyAndEmpties)
     EXPECT_EQ(cache.array().numValid(), 0u);
 }
 
-TEST(Cache, ProbeInvalidateDropsLine)
-{
-    SimObject root(nullptr, "root");
-    FlatMemory memory(&root, 1'000);
-    CacheParams cp;
-    Cache cache(&root, "l1", cp, &memory);
-    cache.access(0, 0x100, 64, false);
-    cache.probeInvalidate(0x100);
-    EXPECT_DOUBLE_EQ(cache.probe_invalidations.value(), 1.0);
-    const auto res = cache.access(0, 0x100, 64, false);
-    EXPECT_FALSE(res.hit);
-}
-
 // ---------------------------------------------------------------------
 // DRAM
 // ---------------------------------------------------------------------

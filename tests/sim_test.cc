@@ -506,13 +506,6 @@ TEST(Rng, DoubleInUnitInterval)
     }
 }
 
-TEST(Rng, ForkIsIndependent)
-{
-    Rng a(3);
-    Rng child = a.fork();
-    EXPECT_NE(a.next(), child.next());
-}
-
 TEST(Stats, ScalarAccumulates)
 {
     stats::StatGroup root(nullptr, "root");
@@ -578,16 +571,6 @@ TEST(Stats, GroupPathsNestAndDump)
     std::ostringstream oss;
     root.dumpStats(oss);
     EXPECT_NE(oss.str().find("system.cache.hits 2"), std::string::npos);
-}
-
-TEST(Stats, ResetRecurses)
-{
-    stats::StatGroup root(nullptr, "r");
-    stats::StatGroup child(&root, "c");
-    stats::Scalar s(&child, "v", "");
-    s += 9;
-    root.resetStats();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
 TEST(Stats, FindStatByName)
@@ -935,7 +918,8 @@ struct Tree
     json() const
     {
         std::ostringstream os;
-        stats::dumpJson(root, os);
+        json::JsonWriter jw(os);
+        root.dumpJsonStats(jw);
         return os.str();
     }
 

@@ -618,78 +618,71 @@ checkEventNew(const FileLintState &st)
 void
 checkEventAlloc(const FileLintState &st)
 {
+    // EventQueue::scheduleCallback() builds a callable in a pooled
+    // slot of inlineCallbackBytes (48); one that does not fit is
+    // boxed in a std::function, which heap-allocates per schedule.
+    // Flag the two boxings a reader can see at the call: a
+    // std::function built or passed as the callable, and a lambda
+    // with more captures than the slot holds pointers (each
+    // reference, pointer or this capture takes 8 of the 48 bytes).
+    constexpr int maxInlineCaptures = 6;
     const std::string &code = st.code;
-    // new LambdaEvent: a std::function-backed event type heap
-    // allocated per one-shot. (event-new also fires on these outside
-    // the queue; this rule adds the "use the pool" guidance and
-    // catches the factory-internal pattern too.)
     std::size_t p = 0;
-    while ((p = findWord(code, "new", p)) != std::string::npos) {
-        std::size_t i = skipSpace(code, p + 3);
-        const std::size_t at = p;
-        p += 3;
-        const std::string type = readQualifiedIdent(code, i);
-        if (type == "LambdaEvent" ||
-            type == "ehpsim::LambdaEvent") {
-            st.report(Rule::eventAlloc, at,
-                      "'new LambdaEvent' heap-allocates a "
-                      "std::function event per one-shot — schedule "
-                      "through EventQueue::scheduleCallback(), which "
-                      "constructs the callable in recycled pooled "
-                      "storage");
-        }
-    }
-    // scheduleLambda(..., [captures]...): a helper of that name
-    // takes a std::function, so the capturing lambda is converted,
-    // which allocates when the capture state outgrows the
-    // small-buffer optimization — and always costs a type-erased
-    // copy. Capture-less lambdas are cheap and not flagged.
-    p = 0;
-    while ((p = findWord(code, "scheduleLambda", p)) !=
+    while ((p = findWord(code, "scheduleCallback", p)) !=
            std::string::npos) {
         const std::size_t at = p;
-        p += std::string("scheduleLambda").size();
-        std::size_t i = skipSpace(code, p);
-        if (i >= code.size() || code[i] != '(')
+        p += std::string("scheduleCallback").size();
+        const std::size_t open = skipSpace(code, p);
+        if (open >= code.size() || code[open] != '(')
             continue;
         int depth = 0;
-        for (std::size_t j = i; j < code.size(); ++j) {
-            const char c = code[j];
-            if (c == '(') {
+        std::size_t close = open;
+        for (; close < code.size(); ++close) {
+            if (code[close] == '(')
                 ++depth;
-            } else if (c == ')') {
-                if (--depth == 0)
-                    break;
-            } else if (c == '[') {
-                const std::size_t close = code.find(']', j);
-                if (close == std::string::npos)
-                    break;
-                bool has_capture = false;
-                for (std::size_t k = j + 1; k < close; ++k) {
-                    if (!isSpace(code[k])) {
-                        has_capture = true;
-                        break;
-                    }
-                }
-                // A lambda introducer is followed by its parameter
-                // list or body; an array index ("arr[i]") is not.
-                const std::size_t after = skipSpace(code, close + 1);
-                const bool is_lambda =
-                    after < code.size() &&
-                    (code[after] == '(' || code[after] == '{');
-                if (has_capture && is_lambda) {
-                    st.report(
-                        Rule::eventAlloc, at,
-                        "scheduleLambda() with a capturing lambda "
-                        "pays a std::function conversion per call — "
-                        "schedule through "
-                        "EventQueue::scheduleCallback(), which "
-                        "constructs the callable in recycled pooled "
-                        "storage");
-                    break;
-                }
-                j = close;
+            else if (code[close] == ')' && --depth == 0)
+                break;
+        }
+        const std::string args = code.substr(open, close - open);
+        if (args.find("std::function") != std::string::npos) {
+            st.report(Rule::eventAlloc, at,
+                      "scheduleCallback() given a std::function "
+                      "heap-allocates its target per call — pass the "
+                      "lambda itself, which the pool constructs "
+                      "inline");
+            continue;
+        }
+        for (std::size_t j = 0; j < args.size(); ++j) {
+            if (args[j] != '[')
+                continue;
+            const std::size_t end = args.find(']', j);
+            if (end == std::string::npos)
+                break;
+            // A lambda introducer is followed by its parameter list
+            // or body; an array index ("arr[i]") is not.
+            const std::size_t after = skipSpace(args, end + 1);
+            int captures = 0;
+            bool any = false;
+            for (std::size_t k = j + 1; k < end; ++k) {
+                if (args[k] == ',')
+                    ++captures;
+                else if (!isSpace(args[k]))
+                    any = true;
             }
+            captures += any ? 1 : 0;
+            if (after < args.size() &&
+                (args[after] == '(' || args[after] == '{') &&
+                captures > maxInlineCaptures) {
+                st.report(Rule::eventAlloc, at,
+                          "scheduleCallback() with a " +
+                              std::to_string(captures) +
+                              "-capture lambda outgrows the pooled "
+                              "slot and is boxed in a heap-allocated "
+                              "std::function — capture a pointer to "
+                              "one struct instead");
+                break;
+            }
+            j = end;
         }
     }
 }
@@ -1231,11 +1224,11 @@ ruleRationale(Rule r)
                "EventQueue paths; raw new/delete of events caused a "
                "use-after-free (whitelist: sim/event_queue)";
       case Rule::eventAlloc:
-        return "one-shot callbacks go through the pooled "
-               "EventQueue::scheduleCallback(); a heap-allocated "
-               "event (new LambdaEvent) or a std::function-taking "
-               "scheduleLambda(capturing) pays an allocation per "
-               "call (whitelist: sim/event_queue)";
+        return "EventQueue::scheduleCallback() constructs a callable "
+               "in a pooled 48-byte slot; a std::function argument "
+               "or a lambda of more than 6 captures is boxed in a "
+               "heap-allocated std::function per call (whitelist: "
+               "sim/event_queue)";
       case Rule::dupStat:
         return "a stat name may register only once per group, or "
                "dump output silently aliases two counters";

@@ -13,9 +13,10 @@
  *   unordered-iter  no iteration over std::unordered_map/_set
  *   event-new       events go through EventQueue::scheduleCallback(),
  *                   not raw new/delete (a use-after-free class)
- *   event-alloc     one-shot callbacks in hot paths use the pooled
- *                   EventQueue::scheduleCallback(), not an allocating
- *                   new LambdaEvent / scheduleLambda(capturing)
+ *   event-alloc     EventQueue::scheduleCallback() is given a
+ *                   callable that fits its pooled slot, not a
+ *                   std::function or a lambda of more than 6
+ *                   captures, which it boxes on the heap
  *   dup-stat        a stat name registers at most once per group
  *   float-arith     no float in simulation arithmetic (use double)
  *   chunk-alloc     no per-iteration std::vector construction in
