@@ -112,6 +112,9 @@ class Link : public SimObject
         return occupancy_.residentSpans();
     }
 
+    /** The bulk channel's window loads, to inspect. */
+    const mem::OccupancyTracker &occupancy() const { return occupancy_; }
+
     /** Utilization = busy time / wall time observed (bulk VC). */
     double utilization() const;
 

@@ -73,6 +73,18 @@ TEST(LinkDeathTest, TransferBehindRetiredWindowPanics)
     ASSERT_LT(link.residentSpans(), 64u);
     EXPECT_DEATH(link.transfer(eq.curTick() / 2, 64),
                  "gpu0_to_gpu1: occupancy charge at tick .* retired");
+
+    // Once now passes every load, the next transfer's retirement
+    // empties the store first: one behind now still panics, and one
+    // at now lands in the empty store as its only run.
+    const Tick later = eq.curTick() + 1'000'000'000;
+    eq.scheduleCallback(later, [] {});
+    eq.run();
+    ASSERT_GE(link.residentSpans(), 16u);
+    EXPECT_DEATH(link.transfer(later / 2, 64),
+                 "gpu0_to_gpu1: occupancy charge at tick .* retired");
+    link.transfer(later, 64);
+    EXPECT_EQ(link.residentSpans(), 1u);
 }
 
 TEST(Link, HighPriorityBypassesQueue)

@@ -262,6 +262,35 @@ blobWatermark(const OccupancyTracker &t)
     return r.getU64();
 }
 
+/** The (window tick, load) pairs of @p t at or after window
+ *  now / @p window. */
+std::vector<std::pair<Tick, double>>
+loadsFrom(const OccupancyTracker &t, Tick now, Tick window)
+{
+    std::vector<std::pair<Tick, double>> out;
+    for (const auto &wl : t.windowLoads()) {
+        if (wl.first / window >= now / window)
+            out.push_back(wl);
+    }
+    return out;
+}
+
+/** The runs @p t's window loads fall into: maximal stretches of
+ *  adjacent @p window-tick windows with equal loads. */
+std::size_t
+maximalRuns(const OccupancyTracker &t, Tick window)
+{
+    std::size_t n = 0;
+    std::pair<Tick, double> prev{0, 0.0};
+    for (const auto &wl : t.windowLoads()) {
+        if (n == 0 || wl.first != prev.first + window ||
+            wl.second != prev.second)
+            ++n;
+        prev = wl;
+    }
+    return n;
+}
+
 } // anonymous namespace
 
 TEST(OccupancyBlob, WatermarkCounts512WindowUnits)
@@ -343,6 +372,123 @@ class OccupancyStores : public ::testing::TestWithParam<std::uint64_t>
         EXPECT_EQ(dense.nextFree(), runs.nextFree());
         EXPECT_EQ(dense.windowLoads(), runs.windowLoads());
     }
+
+    /**
+     * Serving-shaped traffic, as TP all-reduces put it on a node
+     * link: steps of one to four chunks, each starting at or just
+     * after the link's last completion, so that nearly every run-store
+     * charge lands at or past its last loaded window. Some steps send
+     * whole window budgets from a window boundary and start the next
+     * chunk on the boundary where they end, so its first window
+     * merges into the full ones before it. Others first load a run of
+     * equal partial windows and start inside its last one. The run
+     * store is given the step's start as now, past every load, so
+     * retirement empties it at times. A derate lands mid-stream, and
+     * both stores are saved at now and restored. Completions, the
+     * loads at or after now and the blobs must agree, and the run
+     * store must hold its loads as maximal runs, no two adjacent ones
+     * equal.
+     */
+    static void
+    compareServingStream(std::uint64_t seed)
+    {
+        Rng rng(seed);
+        // x16, x32 and x64 rates: 1024 B budgets, whole until a
+        // derate by other than a half.
+        double bw = 0.064 * static_cast<double>(1u << rng.nextBounded(3));
+        const Tick window = static_cast<Tick>(1024.0 / bw);
+        OccupancyTracker dense(bw, Store::dense);
+        OccupancyTracker runs(bw, Store::runs);
+        Tick now = 0;
+        int emptied = 0;
+        int boundary_merges = 0;
+        const auto charge = [&](Tick when, std::uint64_t bytes) {
+            const Tick d = dense.occupy(when, bytes);
+            const Tick r = runs.occupy(when, bytes, now);
+            const std::size_t held = runs.residentSpans();
+            const std::size_t maximal = maximalRuns(runs, window);
+            if (d == r && held == maximal)
+                return ::testing::AssertionSuccess();
+            return ::testing::AssertionFailure()
+                   << bytes << " B at " << when << ", now " << now
+                   << ": completes at " << d << " (dense), " << r
+                   << " (runs); " << held << " runs held, " << maximal
+                   << " maximal";
+        };
+        for (int step = 0; step < 600; ++step) {
+            SCOPED_TRACE(step);
+            if (step == 200) {
+                bw *= rng.nextBool(0.5) ? 0.5
+                                        : 0.25 + 0.75 * rng.nextDouble();
+                dense.setBandwidth(bw);
+                runs.setBandwidth(bw);
+            }
+            if (step == 400) {
+                const std::string blob = saveTracker(dense, now);
+                ASSERT_EQ(blob, saveTracker(runs, now));
+                dense = restoreTracker(blob, Store::dense);
+                runs = restoreTracker(blob, Store::runs);
+            }
+            const double budget = bw * static_cast<double>(window);
+            // A step starts in the last completion's window or in one
+            // of the next few, on a boundary one time in four.
+            const Tick last = runs.nextFree();
+            now = std::max(now, rng.nextBool(0.3)
+                                    ? last
+                                    : (last / window + 1 +
+                                       rng.nextBounded(3)) * window);
+            if (rng.nextBool(0.75))
+                now += rng.nextBounded(window);
+            // A charge of no bytes retires what is due and loads
+            // nothing, so an emptied store shows.
+            const std::size_t before = runs.residentSpans();
+            ASSERT_EQ(runs.occupy(now, 0, now), now);
+            if (before > 0 && runs.residentSpans() == 0)
+                ++emptied;
+            if (rng.nextBool(0.15)) {
+                // Equal point requests on consecutive window starts
+                // load one run of partial windows; the step's first
+                // chunk then starts inside its last window.
+                const std::uint64_t bytes = 1 + rng.nextBounded(256);
+                const std::uint64_t w0 = (now + window - 1) / window;
+                const std::uint64_t n = 2 + rng.nextBounded(7);
+                for (std::uint64_t j = 0; j < n; ++j)
+                    ASSERT_TRUE(charge((w0 + j) * window, bytes));
+                now = runs.nextFree();
+            }
+            const int chunks = 1 + static_cast<int>(rng.nextBounded(4));
+            const bool whole = budget == std::floor(budget) &&
+                               rng.nextBool(0.3);
+            for (int c = 0; c < chunks; ++c) {
+                Tick when = c == 0 ? now : runs.nextFree();
+                std::uint64_t bytes;
+                if (whole) {
+                    // Whole budgets from a boundary: the chunk ends
+                    // with its last window full.
+                    when = (when + window - 1) / window * window;
+                    bytes = static_cast<std::uint64_t>(budget) *
+                            (1 + rng.nextBounded(64));
+                } else {
+                    if (c > 0 && rng.nextBool(0.5))
+                        when += rng.nextBounded(window);
+                    bytes = rng.nextBool(0.4)
+                                ? 1 + rng.nextBounded(2048)
+                                : 2048 + rng.nextBounded(256 * 1024);
+                }
+                const auto loads = runs.windowLoads();
+                if (!loads.empty() && when % window == 0 &&
+                    loads.back() == std::make_pair(when - window, budget))
+                    ++boundary_merges;
+                ASSERT_TRUE(charge(when, bytes));
+            }
+        }
+        EXPECT_GT(emptied, 0);
+        EXPECT_GT(boundary_merges, 0);
+        EXPECT_EQ(dense.nextFree(), runs.nextFree());
+        EXPECT_EQ(loadsFrom(dense, now, window),
+                  loadsFrom(runs, now, window));
+        EXPECT_EQ(saveTracker(dense, now), saveTracker(runs, now));
+    }
 };
 
 TEST_P(OccupancyStores, RunStoreMatchesDenseStore)
@@ -352,6 +498,8 @@ TEST_P(OccupancyStores, RunStoreMatchesDenseStore)
                                 : "from tick 0");
         compareStores(GetParam(), reach_back);
     }
+    SCOPED_TRACE("serving-shaped");
+    compareServingStream(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OccupancyStores,
@@ -420,24 +568,6 @@ TEST(OccupancyStores, MultiMiBTransfersAfterDerate)
         EXPECT_EQ(saveTracker(dense, 0), saveTracker(runs, 0));
     }
 }
-
-namespace
-{
-
-/** The (window tick, load) pairs of @p t at or after window
- *  now / @p window. */
-std::vector<std::pair<Tick, double>>
-loadsFrom(const OccupancyTracker &t, Tick now, Tick window)
-{
-    std::vector<std::pair<Tick, double>> out;
-    for (const auto &wl : t.windowLoads()) {
-        if (wl.first / window >= now / window)
-            out.push_back(wl);
-    }
-    return out;
-}
-
-} // anonymous namespace
 
 class OccupancyRetire : public ::testing::TestWithParam<std::uint64_t>
 {

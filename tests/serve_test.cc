@@ -9,15 +9,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <string>
 
+#include "fabric/link.hh"
+#include "fabric/network.hh"
+#include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
+#include "mem/hbm_subsystem.hh"
 #include "serve/kv_cache.hh"
 #include "serve/scenario.hh"
 #include "serve/serving_config.hh"
 #include "serve/serving_engine.hh"
+#include "sim/snapshot.hh"
 #include "sim/units.hh"
+#include "soc/node_topology.hh"
 #include "sweep/sweep_runner.hh"
 
 using namespace ehpsim;
@@ -255,6 +262,89 @@ TEST(ServingScenario, HbmGroupHoldsOnlyChannelLiveness)
     EXPECT_EQ(std::count(body.begin(), body.end(), ':'), 2) << body;
     EXPECT_NE(body.find("\"channels_dark\":"), std::string::npos);
     EXPECT_NE(body.find("\"degraded_peak_gbps\":"), std::string::npos);
+}
+
+namespace
+{
+
+/**
+ * A short TP-8 serving run, wired as runServingScenario() wires it
+ * but kept in reach: a digest of every request's first-token and
+ * finish tick, then of each octo link's window loads.
+ */
+std::uint64_t
+tp8Digest(const fault::FaultPlan &faults)
+{
+    ScenarioParams p = tinyScenario();
+    p.tp = 8;
+    p.num_requests = 24;
+    p.load_rps = 100.0;
+    p.output_tokens = 16;
+    const ServingConfig cfg = scenarioConfig(p);
+    EventQueue eq;
+    SimObject root(nullptr, "serving", &eq);
+    const auto topo = soc::NodeTopology::mi300xOctoNode(&root);
+    std::vector<fabric::NodeId> ranks;
+    for (unsigned i = 0; i < cfg.tp; ++i)
+        ranks.push_back(topo->nodeId(i));
+    comm::CommParams cp;
+    cp.chunk_bytes = 1 * MiB;
+    cp.retry_timeout = 200'000'000;
+    comm::CommGroup group(topo.get(), "tp_comm", topo->network(),
+                          std::move(ranks), &eq, cp);
+    mem::HbmSubsystemParams hp;
+    hp.capacity_bytes = cfg.mem_capacity;
+    mem::HbmSubsystem hbm(&root, "hbm", hp);
+    ServingEngine engine(&root, "engine", &eq, cfg, scenarioTrace(p),
+                         &group, &hbm);
+    fault::FaultInjector injector(&root, "faults", faults, &eq);
+    injector.attachNetwork(topo->network());
+    injector.attachCommGroup(&group);
+    injector.attachHbm(&hbm);
+    injector.arm();
+    engine.start();
+    eq.run();
+    EXPECT_TRUE(engine.allDone());
+
+    // FNV-1a over the little-endian bytes of each word.
+    std::string bytes;
+    const auto add = [&](std::uint64_t v) {
+        for (unsigned i = 0; i < 8; ++i)
+            bytes.push_back(static_cast<char>(v >> (8 * i)));
+    };
+    for (const Request &r : engine.requests()) {
+        add(r.first_token);
+        add(r.finish);
+    }
+    for (const fabric::Link *link : topo->network()->allLinks()) {
+        const auto loads = link->occupancy().windowLoads();
+        add(loads.size());
+        for (const auto &[tick, used] : loads) {
+            add(tick);
+            add(std::bit_cast<std::uint64_t>(used));
+        }
+    }
+    return fnv1a(bytes);
+}
+
+} // anonymous namespace
+
+TEST(ServingScenario, Tp8ResultsMatchPinnedDigest)
+{
+    // TP-8 all-reduces put one-shot chunks on every octo link, almost
+    // all of them past the link's last reservation. The digests pin
+    // when each request's tokens came out and what every link holds,
+    // clean and with one link pair derated mid-run; a change that
+    // moves one tick or one window load fails here.
+    fault::FaultPlan derated;
+    derated.link_faults.push_back(
+        fault::parseLinkFault("mi300x0:mi300x1@60000000000*0.5"));
+    const std::uint64_t clean = tp8Digest({});
+    const std::uint64_t slowed = tp8Digest(derated);
+    EXPECT_EQ(clean, 0x2f58da47b2acdc62ull)
+        << "clean: 0x" << std::hex << clean;
+    EXPECT_EQ(slowed, 0x4b2dd9e275b8e442ull)
+        << "derated: 0x" << std::hex << slowed;
 }
 
 TEST(ServingScenario, UnknownDeviceIsFatal)
